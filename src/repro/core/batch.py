@@ -241,7 +241,8 @@ class BatchedVPSolver:
         self.plane_scale = alpha
         self._has_plane_scale = bool(np.any(alpha != 1.0))
 
-        # Per-scenario right-hand sides: (n_free, S) / (P, S) per tier.
+        # Per-scenario right-hand sides: (n_free, S) / (P, S) per tier,
+        # each formed straight from its own rows (no full (n, S) batch).
         # The pad term carries the plane scaling (pads are conductances of
         # the scaled plane); loads are currents and scale independently.
         load_scales = self.scenarios.load_scale_matrix(self.n_tiers)
@@ -250,12 +251,14 @@ class BatchedVPSolver:
         for l, tier in enumerate(stack.tiers):
             pad_term = (tier.g_pad * tier.v_pad).ravel()
             loads = tier.loads.ravel()
-            rhs = (
-                pad_term[:, None] * alpha[l][None, :]
-                - loads[:, None] * load_scales[l][None, :]
-            )
-            self._b_free.append(np.ascontiguousarray(rhs[self.planes.free]))
-            self._b_pillar.append(np.ascontiguousarray(rhs[self.pillar_flat]))
+            for rows, out in (
+                (self.planes.free, self._b_free),
+                (self.pillar_flat, self._b_pillar),
+            ):
+                out.append(
+                    pad_term[rows][:, None] * alpha[l][None, :]
+                    - loads[rows][:, None] * load_scales[l][None, :]
+                )
 
         # Segment resistances as a (T, P, S) design tensor (scalar design
         # knob plus any per-segment process spread).

@@ -149,7 +149,7 @@ class ReducedPlaneSystem:
                 )
                 if factorize:
                     with tr.span("factorize", tier=l, n_free=self.free.size):
-                        solver = DirectSolver(a_ff)
+                        solver = DirectSolver(a_ff, spd=True)
                     cache[group] = (solver, a_fp, a_p, None)
                     self._factorizations.add()
                     obs.add("planes.factorizations")
@@ -369,9 +369,10 @@ class ReducedPlaneSystem:
     # ------------------------------------------------------------------
     @property
     def memory_bytes(self) -> int:
-        """Bytes held by the partitioned blocks (shared objects counted
-        once)."""
-        total = 0
+        """Bytes held by the system: the full plane matrices and RHS it
+        keeps, the partitioned blocks, the factors, and the partition
+        index vectors (shared objects counted once)."""
+        total = self.free.nbytes + self.pillar_flat.nbytes
         seen: set[int] = set()
 
         def once(obj, n_bytes: int) -> int:
@@ -386,7 +387,8 @@ class ReducedPlaneSystem:
                 matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes,
             )
 
-        for l in range(len(self.planes)):
+        for l, (matrix, rhs) in enumerate(self.planes):
+            total += csr_bytes(matrix) + once(rhs, rhs.nbytes)
             total += csr_bytes(self.a_fp[l]) + self.b_free[l].nbytes
             if self.has_pillar_rows:
                 total += csr_bytes(self.a_pillar[l]) + self.b_pillar[l].nbytes

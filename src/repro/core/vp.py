@@ -353,12 +353,13 @@ class VoltagePropagationSolver:
                 matrix.data.nbytes + matrix.indices.nbytes + matrix.indptr.nbytes,
             )
 
-        for matrix, rhs in self._planes:
-            total += csr_bytes(matrix) + rhs.nbytes
         if self.config.inner == "rb":
+            for matrix, rhs in self._planes:
+                total += csr_bytes(matrix) + rhs.nbytes
             for solver, base in zip(self._rb_solvers, self._rb_base):
                 total += once(solver, solver.memory_bytes) + base.nbytes
         else:
+            # The reduced system counts the plane matrices it shares.
             total += self._reduced.memory_bytes
         # Voltage fields and pillar vectors.
         total += self.n_tiers * self.rows * self.cols * 8

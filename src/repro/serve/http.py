@@ -47,7 +47,7 @@ from urllib.parse import parse_qs, urlparse
 
 from repro import obs
 from repro.errors import ReproError
-from repro.serve.jobs import JobState, QueueFullError, UnknownJobError
+from repro.serve.jobs import QueueFullError, UnknownJobError
 from repro.serve.service import GridAnalysisService, UnknownGridError
 
 #: Cap on accepted request bodies (a grid spec or job submission is a
@@ -188,13 +188,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _get_job(self, job_id: str, query: dict) -> None:
         wait = float(query.get("wait", ["0"])[0])
-        deadline = time.monotonic() + min(wait, 300.0)
-        while True:
-            self.service.expire()
-            job = self.service.queue.get(job_id)
-            if job.state in JobState.TERMINAL or time.monotonic() >= deadline:
-                break
-            time.sleep(0.005)
+        job = self.service.queue.wait(job_id, min(wait, 300.0))
         self._send(200, job.describe(include_result=True), cid=job.cid)
 
     def do_POST(self) -> None:  # noqa: N802
@@ -244,7 +238,6 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             if len(parts) == 2 and parts[0] == "jobs":
                 job = self.service.queue.cancel(parts[1])
-                self.service._log_terminal(job)
                 self._send(200, job.describe(), cid=job.cid)
             else:
                 self._error(404, f"no route for DELETE {self.path}")

@@ -12,10 +12,11 @@ contracts:
   multi-column solve buffers).
 * **Per-job timeouts.**  A deadline starts ticking when the job starts
   *running*; :meth:`JobQueue.expire` (called from the dispatcher's wait
-  loop and from status reads) fails overdue jobs with a ``timeout``
-  error.  Solver threads cannot be killed mid-back-substitution, so a
-  timed-out job's eventual result is discarded on completion instead --
-  the state a client observes never flips back from failed.
+  loop and while anyone waits on a job) fails overdue jobs with a
+  ``timeout`` error.  Solver threads cannot be killed
+  mid-back-substitution, so a timed-out job's eventual result is
+  discarded on completion instead -- the state a client observes never
+  flips back from failed.
 * **Cancellation.**  Queued jobs cancel immediately (removed from the
   deque); running jobs are marked and their results dropped when the
   worker finishes (best-effort, documented in docs/service.md).
@@ -45,10 +46,16 @@ import threading
 import time
 import uuid
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro import obs
 from repro.errors import ReproError
+
+#: Longest a :meth:`JobQueue.wait` caller goes without expiring overdue
+#: jobs.
+WAIT_TICK = 0.1
+
 
 #: Lifecycle states a job can report.
 class JobState:
@@ -114,9 +121,6 @@ class Job:
     #: session), attached by the worker for ``GET /jobs/<id>/trace``.
     spans: list = field(default_factory=list)
     span_thread_names: dict = field(default_factory=dict)
-    #: Whether the service already emitted this job's terminal log line
-    #: (a timed-out job hits the terminal path twice: expire + worker).
-    log_emitted: bool = field(default=False, repr=False)
 
     def latency(self) -> dict:
         """Phase durations (seconds) known so far; None = not reached."""
@@ -169,12 +173,23 @@ class JobQueue:
     The dispatcher thread is the only consumer; submitters and the HTTP
     layer are producers/readers.  All state is guarded by one condition
     variable.
+
+    ``on_terminal`` runs exactly once per job, under the lock, as the
+    job turns terminal and before :meth:`wait` callers wake -- so a
+    waiter always finds what it records (the service's terminal log
+    line and failure flight dump) already written.
     """
 
-    def __init__(self, max_depth: int = 64):
+    def __init__(
+        self,
+        max_depth: int = 64,
+        *,
+        on_terminal: Callable[[Job], object] | None = None,
+    ):
         if max_depth < 1:
             raise ReproError("max_depth must be >= 1")
         self.max_depth = max_depth
+        self.on_terminal = on_terminal
         self._cond = threading.Condition()
         self._pending: deque[Job] = deque()
         self._jobs: dict[str, Job] = {}
@@ -326,6 +341,9 @@ class JobQueue:
         latency = job.latency()
         _observe_phase("solve", job.kind, latency["solve"])
         _observe_phase("total", job.kind, latency["total"])
+        if self.on_terminal is not None:
+            self.on_terminal(job)
+        self._cond.notify_all()  # wake wait() callers
 
     # -- control plane ---------------------------------------------------
     def cancel(self, job_id: str) -> Job:
@@ -360,6 +378,33 @@ class JobQueue:
             if expired:
                 self._publish_depth()
         return expired
+
+    def wait(self, job_id: str, timeout: float) -> Job:
+        """Block until a job reaches a terminal state or ``timeout``
+        seconds pass, and return it either way (check ``job.state``).
+
+        Terminal transitions notify the queue's condition, so a waiter
+        wakes the moment its job finishes.  While it waits it runs
+        :meth:`expire` at least every :data:`WAIT_TICK` seconds, so an
+        overdue job still times out while someone waits on it.
+
+        Raises
+        ------
+        UnknownJobError
+            If no job has that id.
+        """
+        deadline = time.monotonic() + timeout
+        with self._cond:
+            while True:
+                self.expire()
+                job = self._get(job_id)
+                remaining = deadline - time.monotonic()
+                if job.state in JobState.TERMINAL or remaining <= 0:
+                    return job
+                self._cond.wait_for(
+                    lambda: job.state in JobState.TERMINAL,
+                    min(remaining, WAIT_TICK),
+                )
 
     def get(self, job_id: str) -> Job:
         with self._cond:

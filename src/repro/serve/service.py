@@ -58,7 +58,7 @@ from repro.core.batch import BatchedVPConfig, BatchedVPSolver
 from repro.core.planes import PlaneFactorCache, stack_plane_signature
 from repro.errors import ReproError
 from repro.scenarios.spec import Scenario, ScenarioSet
-from repro.serve.jobs import Job, JobQueue
+from repro.serve.jobs import Job, JobQueue, JobState
 
 #: Job kinds the service accepts (see docs/service.md for parameters).
 JOB_KINDS = ("sweep", "mc", "sensitivity", "optimize", "eco")
@@ -164,11 +164,13 @@ class GridAnalysisService:
             max_entries=self.config.cache_entries,
             max_bytes=self.config.cache_bytes,
         )
-        self.queue = JobQueue(max_depth=self.config.queue_depth)
         #: Always-on bounded ring of recent spans (crash forensics).
         self.flight = obs.FlightRecorder(capacity=self.config.flight_capacity)
         #: Structured JSON job/access log (silent when stream is None).
         self.log = obs.JsonLogger(log_stream)
+        self.queue = JobQueue(
+            max_depth=self.config.queue_depth, on_terminal=self._log_terminal
+        )
         self._grids: dict[str, object] = {}
         self._grids_lock = threading.Lock()
         # Signatures whose factors some earlier request already built:
@@ -305,24 +307,19 @@ class GridAnalysisService:
         )
 
     def wait(self, job_id: str, timeout: float = 60.0) -> Job:
-        """Block until a job reaches a terminal state (poll-based; the
-        HTTP layer exposes the same via ``GET /jobs/<id>?wait=``)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            self.expire()
-            job = self.queue.get(job_id)
-            if job.state in ("done", "failed", "cancelled"):
-                return job
-            if time.monotonic() >= deadline:
-                raise ReproError(
-                    f"job {job_id} still {job.state} after {timeout:g}s"
-                )
-            time.sleep(0.005)
+        """Block until a job reaches a terminal state (the HTTP layer
+        exposes the same via ``GET /jobs/<id>?wait=``)."""
+        job = self.queue.wait(job_id, timeout)
+        if job.state not in JobState.TERMINAL:
+            raise ReproError(
+                f"job {job_id} still {job.state} after {timeout:g}s"
+            )
+        return job
 
     # -- dispatcher ------------------------------------------------------
     def _dispatch_loop(self) -> None:
         while not self._stop.is_set():
-            self.expire()
+            self.queue.expire()
             job = self.queue.pop(timeout=0.1)
             if job is None:
                 continue
@@ -367,18 +364,18 @@ class GridAnalysisService:
         tel = obs.Telemetry(trace=True)
         tel.registry.forward_to = obs.current_global().registry
         t0 = time.perf_counter()
+        results: list[tuple[Job, dict]] = []
+        error: str | None = None
         try:
             with obs.scoped(tel):
                 if batch[0].kind == "sweep":
-                    self._run_sweep_batch(batch)
+                    results = self._run_sweep_batch(batch)
                 else:
-                    self._run_single(batch[0])
+                    results = [(batch[0], self._run_single(batch[0]))]
         except ReproError as exc:
-            for job in batch:
-                self.queue.fail(job, str(exc))
+            error = str(exc)
         except Exception as exc:  # worker threads must never die silent
-            for job in batch:
-                self.queue.fail(job, f"{type(exc).__name__}: {exc}")
+            error = f"{type(exc).__name__}: {exc}"
         finally:
             dt = time.perf_counter() - t0
             # The shared batch work plus one fan-out span per rider, so a
@@ -397,22 +394,23 @@ class GridAnalysisService:
                 profile_tracer.extend(events, names)
             for job in batch:
                 self.queue.attach_spans(job, events, names)
-                self._log_terminal(job)
             obs.observe("serve.job_seconds", dt)
-            self.expire()
-
-    def expire(self) -> list[Job]:
-        """Fail overdue running jobs, logging and flight-dumping each."""
-        expired = self.queue.expire()
-        for job in expired:
-            self._log_terminal(job)
-        return expired
+        # Jobs turn terminal only now, with their spans in the flight
+        # ring and attached: waiters wake on the transition and may read
+        # the trace or the failure dump at once.  Coalesced riders are
+        # released together.
+        if error is None:
+            for job, payload in results:
+                self.queue.finish(job, payload)
+        else:
+            for job in batch:
+                self.queue.fail(job, error)
+        self.queue.expire()
 
     def _log_terminal(self, job: Job) -> None:
-        """Emit the terminal log line and failure dump exactly once."""
-        if job.state not in ("done", "failed", "cancelled") or job.log_emitted:
-            return
-        job.log_emitted = True
+        """Emit a job's terminal log line and, for a failure, its flight
+        dump (the queue's ``on_terminal`` hook: once per job, before any
+        waiter wakes)."""
         self.log.job(
             job.state, job.cid, job.id,
             kind=job.kind, grid=job.grid, batch_jobs=job.batch_jobs,
@@ -454,7 +452,7 @@ class GridAnalysisService:
         if seen:
             obs.add("serve.cache_cross_request_hits")
 
-    def _run_sweep_batch(self, batch: list[Job]) -> None:
+    def _run_sweep_batch(self, batch: list[Job]) -> list[tuple[Job, dict]]:
         grid = batch[0].grid
         stack = self._stack(grid)
         config = _sweep_config(batch[0].params)
@@ -488,6 +486,7 @@ class GridAnalysisService:
             result = solver.solve()
 
         drops = result.worst_ir_drop()
+        payloads = []
         for job, start, stop in slices:
             scenarios_out = []
             for k in range(start, stop):
@@ -506,18 +505,16 @@ class GridAnalysisService:
                     }
                 )
             job.batch_jobs = len(batch)
-            self.queue.finish(
-                job,
-                {
-                    "kind": "sweep",
-                    "grid": grid,
-                    "scenarios": scenarios_out,
-                    "batch_jobs": len(batch),
-                    "batch_columns": len(merged),
-                },
-            )
+            payloads.append((job, {
+                "kind": "sweep",
+                "grid": grid,
+                "scenarios": scenarios_out,
+                "batch_jobs": len(batch),
+                "batch_columns": len(merged),
+            }))
+        return payloads
 
-    def _run_single(self, job: Job) -> None:
+    def _run_single(self, job: Job) -> dict:
         runner = {
             "mc": self._run_mc,
             "sensitivity": self._run_sensitivity,
@@ -529,7 +526,7 @@ class GridAnalysisService:
         with obs.span("serve.solve", grid=job.grid, kind=job.kind, jobs=1):
             result = runner(job, stack)
         job.batch_jobs = 1
-        self.queue.finish(job, result)
+        return result
 
     def _run_mc(self, job: Job, stack) -> dict:
         from repro.stochastic import (

@@ -1,4 +1,5 @@
-"""ReducedPlaneSystem solve entries against dense oracles.
+"""ReducedPlaneSystem solve entries against dense oracles, and its
+byte accounting.
 
 The adjoint and ECO engines leans on two properties of the cached plane
 factors: transpose back-substitution must be exact against the dense
@@ -11,6 +12,7 @@ path.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core.planes import ReducedPlaneSystem
 
@@ -80,3 +82,39 @@ class TestReducedRhsZeroPillarFastPath:
         assert np.allclose(
             via_fast, np.linalg.solve(a_ff, b_free), rtol=1e-10
         )
+
+
+def held_arrays(system) -> dict[int, np.ndarray]:
+    """Every ndarray the system keeps (sparse matrices by their index
+    and value arrays), keyed by identity.  Factors report their own
+    estimate and the stack belongs to the caller, so both are skipped."""
+    found: dict[int, np.ndarray] = {}
+
+    def walk(obj):
+        if isinstance(obj, np.ndarray):
+            found[id(obj)] = obj
+        elif sp.issparse(obj):
+            for part in (obj.data, obj.indices, obj.indptr):
+                found[id(part)] = part
+        elif isinstance(obj, list | tuple):
+            for item in obj:
+                walk(item)
+
+    for name, value in vars(system).items():
+        if name != "stack":
+            walk(value)
+    return found
+
+
+class TestMemoryBytes:
+    def test_counts_every_array_the_system_holds(self, small_stack):
+        for factorize in (True, False):
+            system = ReducedPlaneSystem(
+                small_stack, factorize=factorize, pillar_rows=True
+            )
+            arrays = held_arrays(system)
+            # The full plane matrices (the dense oracle tests read) are
+            # among them.
+            assert id(system.planes[0][0].data) in arrays
+            held = sum(a.nbytes for a in arrays.values())
+            assert system.memory_bytes >= held

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
 
 from repro.errors import ReproError
 from repro.serve import JobQueue, JobState, QueueFullError, UnknownJobError
+from repro.serve import jobs as jobs_module
 
 
 class TestLifecycle:
@@ -155,3 +157,117 @@ class TestCoalescingPops:
         t0 = time.monotonic()
         assert queue.pop_compatible(("nope",), timeout=0.02) is None
         assert time.monotonic() - t0 < 1.0
+
+
+class TestWait:
+    """``JobQueue.wait`` wakes on the terminal transition itself.  The
+    expiry tick is stretched far past the wake latency asserted, so
+    only a notify can end the wait in time."""
+
+    SLOW_TICK = 5.0
+
+    def wait_across_thread(self, monkeypatch, queue, job, action):
+        monkeypatch.setattr(jobs_module, "WAIT_TICK", self.SLOW_TICK)
+        timer = threading.Timer(0.05, action)
+        timer.start()
+        try:
+            t0 = time.monotonic()
+            done = queue.wait(job.id, 30.0)
+            elapsed = time.monotonic() - t0
+        finally:
+            timer.join(timeout=5)
+        assert not timer.is_alive()
+        assert elapsed < self.SLOW_TICK / 2
+        return done
+
+    def test_wakes_on_finish(self, monkeypatch):
+        queue = JobQueue()
+        job = queue.submit("sweep", "g1", {})
+        queue.pop(timeout=0)
+        done = self.wait_across_thread(
+            monkeypatch, queue, job, lambda: queue.finish(job, {"v": 1})
+        )
+        assert done is job
+        assert done.state == JobState.DONE
+
+    def test_wakes_on_fail(self, monkeypatch):
+        queue = JobQueue()
+        job = queue.submit("mc", "g1", {})
+        queue.pop(timeout=0)
+        done = self.wait_across_thread(
+            monkeypatch, queue, job, lambda: queue.fail(job, "boom")
+        )
+        assert done.state == JobState.FAILED
+
+    def test_wakes_on_cancel_of_a_queued_job(self, monkeypatch):
+        queue = JobQueue()
+        job = queue.submit("sweep", "g1", {})
+        done = self.wait_across_thread(
+            monkeypatch, queue, job, lambda: queue.cancel(job.id)
+        )
+        assert done.state == JobState.CANCELLED
+
+    def test_wakes_when_a_cancelled_running_job_finishes(self, monkeypatch):
+        queue = JobQueue()
+        job = queue.submit("sweep", "g1", {})
+        queue.pop(timeout=0)
+        queue.cancel(job.id)
+        done = self.wait_across_thread(
+            monkeypatch, queue, job, lambda: queue.finish(job, {"late": True})
+        )
+        assert done.state == JobState.CANCELLED
+
+    def test_timeout_returns_the_non_terminal_job(self):
+        queue = JobQueue()
+        job = queue.submit("sweep", "g1", {})
+        assert queue.wait(job.id, 0.02).state == JobState.QUEUED
+        queue.pop(timeout=0)
+        assert queue.wait(job.id, 0.02).state == JobState.RUNNING
+
+    def test_terminal_job_returns_immediately(self):
+        queue = JobQueue()
+        job = queue.submit("sweep", "g1", {})
+        queue.cancel(job.id)
+        t0 = time.monotonic()
+        assert queue.wait(job.id, 30.0).state == JobState.CANCELLED
+        assert time.monotonic() - t0 < 1.0
+
+    def test_unknown_job_raises(self):
+        with pytest.raises(UnknownJobError):
+            JobQueue().wait("job-999", 0.01)
+
+    def test_waiting_expires_an_overdue_job(self):
+        # Nothing else calls expire(): the wait itself must time the job
+        # out, within a few ticks of its deadline.
+        queue = JobQueue()
+        job = queue.submit("sweep", "g1", {}, timeout=0.05)
+        queue.pop(timeout=0)
+        t0 = time.monotonic()
+        done = queue.wait(job.id, 30.0)
+        assert done.state == JobState.FAILED
+        assert "timeout" in done.error
+        assert time.monotonic() - t0 < 0.05 + 10 * jobs_module.WAIT_TICK
+
+
+class TestOnTerminal:
+    def test_runs_once_per_job_before_waiters_wake(self):
+        seen = []
+        queue = JobQueue(on_terminal=lambda job: seen.append((job.id, job.state)))
+        done = queue.submit("sweep", "g1", {})
+        failed = queue.submit("sweep", "g1", {})
+        cancelled = queue.submit("sweep", "g1", {})
+        expired = queue.submit("sweep", "g1", {}, timeout=0.001)
+        queue.pop(timeout=0)
+        queue.pop(timeout=0)
+        queue.cancel(cancelled.id)
+        queue.pop(timeout=0)
+        queue.expire(now=expired.started_at + 1.0)
+        queue.finish(expired, {"late": True})  # dropped: no second call
+        queue.finish(done, {"v": 1})
+        queue.fail(failed, "boom")
+        assert seen == [
+            (cancelled.id, JobState.CANCELLED),
+            (expired.id, JobState.FAILED),
+            (done.id, JobState.DONE),
+            (failed.id, JobState.FAILED),
+        ]
