@@ -12,7 +12,6 @@ from repro.analysis.dualnet import (
     matched_gnd_stack,
 )
 from repro.analysis.memory import MemoryMeter, nbytes_of
-from repro.analysis.runtime import Timer
 
 __all__ = [
     "IRDropReport",
@@ -25,5 +24,4 @@ __all__ = [
     "matched_gnd_stack",
     "MemoryMeter",
     "nbytes_of",
-    "Timer",
 ]

@@ -16,6 +16,7 @@ import numpy as np
 from repro.bench.circuits import PAPER_TABLE1
 from repro.bench.reporting import ascii_table
 from repro.bench.table1 import Table1Result
+from repro.core.kernel import resolve_vda_policy
 from repro.core.vp import VPConfig, VoltagePropagationSolver
 from repro.grid.stack3d import PowerGridStack
 
@@ -113,18 +114,21 @@ def fig3_trace(
         def reset(self, n):
             self.inner.reset(n)
 
-        def update(self, v0, residual):
-            trace.probe_v0.append(float(v0[probe_pillar]))
+        def update(self, v0, residual, active=None):
+            # The kernel passes (P, 1) column batches.
+            trace.probe_v0.append(float(v0[probe_pillar, 0]))
             trace.probe_propagated.append(
-                float(stack.v_pin - residual[probe_pillar])
+                float(stack.v_pin - residual[probe_pillar, 0])
             )
             trace.max_vdiff.append(float(np.max(np.abs(residual))))
-            return self.inner.update(v0, residual)
+            return self.inner.update(v0, residual, active=active)
 
     from dataclasses import replace
 
     solver = VoltagePropagationSolver(stack, replace(config))
-    base = solver._resolve_vda_policy()
+    base = resolve_vda_policy(
+        solver.config.vda, solver.config.eta, solver.pillars.auto_eta
+    )
     solver.config.vda = _RecordingPolicy(base)
     result = solver.solve()
     # The converged final state is not passed through VDA; append it.

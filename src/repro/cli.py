@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import warnings
 
 import numpy as np
 
@@ -1179,12 +1178,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Keep user-facing output clean of the legacy-shim deprecation noise
-    # (repro.analysis.runtime.Timer): library consumers still see the
-    # warning at its call site; CLI runs do not.
-    warnings.filterwarnings(
-        "ignore", message="Timer is deprecated", category=DeprecationWarning
-    )
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -4,10 +4,10 @@ The CVN phase of the VP method solves, per tier, the reduced system
 
     A_ff x_f = b_f - A_fp v_p
 
-with the pillar (TSV) nodes held at Dirichlet values ``v_p``.  Both the
-single-scenario :class:`~repro.core.vp.VoltagePropagationSolver` and the
-batched scenario engine (:mod:`repro.core.batch`) run exactly this solve;
-this module owns the partitioned structure so they share one code path:
+with the pillar (TSV) nodes held at Dirichlet values ``v_p``.  Every
+factored VP engine runs exactly this solve through the VP outer-iteration
+kernel's plane operators (:mod:`repro.core.kernel`); this module owns the
+partitioned structure so they share one code path:
 
 * tiers with identical wire geometry share one matrix *and* one
   factorization (the paper replicates a single tier, so a 3-tier stack
@@ -97,9 +97,10 @@ class ReducedPlaneSystem:
         diagonals are kept instead (the ``cg`` inner solver).
     pillar_rows:
         Also slice and keep the pillar rows ``A_p`` of the full plane
-        matrices (enables :meth:`drawn_currents`).  The batched engine
-        needs them; the single-scenario solver extracts drawn currents
-        from the full matrices and skips the extra slicing/storage.
+        matrices (enables :meth:`drawn_currents`).  Every factored engine
+        needs them; the single-scenario ``cg`` solver extracts drawn
+        currents from the full matrices and skips the extra
+        slicing/storage.
     """
 
     def __init__(
@@ -111,7 +112,6 @@ class ReducedPlaneSystem:
         factorize: bool = True,
         pillar_rows: bool = False,
     ):
-        self.stack = stack
         self.n = stack.rows * stack.cols
         self.pillar_flat = stack.pillar_flat_indices()
         self.groups = group_tiers(stack) if groups is None else groups
@@ -265,8 +265,9 @@ class ReducedPlaneSystem:
         coincides with the stored ``A_fp`` -- what distinguishes this
         entry is the back-substitution on the *transposed* LU factors
         (``U^T L^T``), which makes the adjoint exact down to round-off
-        without a single new factorization.  This is the hot path of the
-        sensitivity engine (:mod:`repro.sensitivity.adjoint`); its
+        without a single new factorization.  The sensitivity engine
+        (:mod:`repro.sensitivity.adjoint`) runs this back-substitution
+        through the kernel's factored operator (``trans="T"``); its
         zero-refactorization contract is counter-asserted through
         :class:`PlaneFactorCache` exactly like the Monte Carlo driver's.
         """

@@ -56,7 +56,7 @@ from repro.core.batch import BatchedVPConfig, BatchedVPSolver
 from repro.core.planes import PlaneFactorCache
 from repro.core.transient import normalize_capacitance
 from repro.core.vda import VDAPolicy
-from repro.core.vp import loadshare_v0
+from repro.core.kernel import loadshare_v0
 from repro.errors import GridError, ReproError
 from repro.grid.stack3d import PowerGridStack
 from repro.scenarios.spec import Scenario, ScenarioSet

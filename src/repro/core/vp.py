@@ -23,10 +23,12 @@ assembled 3-D system's KCL/KVL hold everywhere and VP returns the true DC
 solution up to the inner tolerance (tests verify this against the direct
 solver).
 
-The intra-plane phase is pluggable: the paper's row-based method
-(``inner="rb"``), a cached per-tier sparse factorization (``inner="direct"``
--- the plane matrices never change across outer iterations, so each outer
-iteration costs only back-substitutions), or Jacobi-PCG (``inner="cg"``).
+The loop itself is the one every engine runs
+(:func:`repro.core.kernel.run_outer_loop`); this module plugs in the
+intra-plane phase: the paper's row-based method (``inner="rb"``), a
+cached per-tier sparse factorization (``inner="direct"`` -- the plane
+matrices never change across outer iterations, so each outer iteration
+costs only back-substitutions), or Jacobi-PCG (``inner="cg"``).
 Benchmark E11 compares them.
 """
 
@@ -37,74 +39,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import obs
-from repro.errors import ConvergenceError, GridError, ReproError
+from repro.errors import GridError, ReproError
+from repro.core.kernel import (
+    PHASES,
+    FactoredPlanes,
+    PlaneOperator,
+    pillar_gain,
+    run_outer_loop,
+    seed_v0,
+)
 from repro.core.planes import ReducedPlaneSystem, group_tiers
 from repro.core.rowbased import RowBasedConfig, RowBasedSolver, estimate_optimal_omega
 from repro.core.tsv import pillar_drawn_currents, plane_matrices
-from repro.core.vda import VDAPolicy, make_vda_policy
+from repro.core.vda import VDAPolicy
 from repro.grid.stack3d import PowerGridStack
 from repro.linalg.cg import cg
 
 INNER_SOLVERS = ("rb", "direct", "cg")
-
-#: Gain-bound damping below which the ``"auto"`` VDA rule abandons the
-#: paper's adaptive policy for Anderson acceleration (stiff pillars).
-AUTO_ETA_THRESHOLD = 0.05
-#: Anderson window the ``"auto"`` rule uses in the stiff regime.
-AUTO_ANDERSON_WINDOW = 30
-
-
-def resolve_vda_policy(
-    vda: str | VDAPolicy, eta, auto_eta
-) -> VDAPolicy:
-    """Materialize a VDA policy -- shared by the single-scenario and
-    batched solvers so the ``"auto"`` rule cannot drift between them.
-
-    ``"auto"`` chooses the paper's adaptive rule when every (scenario's)
-    gain-bound damping is healthy, and Anderson acceleration (window 30)
-    when the stiffest pillar gain forces tiny damping.  ``auto_eta`` is
-    a scalar (one scenario) or an ``(S,)`` per-scenario array; a batch
-    mixing both regimes is handled by the batched solver, which applies
-    this same threshold per scenario column.
-    """
-    if isinstance(vda, VDAPolicy):
-        return vda
-    name = vda
-    eta = auto_eta if eta is None else eta
-    kwargs: dict = {}
-    if name == "auto":
-        name = (
-            "adaptive"
-            if float(np.min(auto_eta)) >= AUTO_ETA_THRESHOLD
-            else "anderson"
-        )
-        if name == "anderson":
-            kwargs["m"] = AUTO_ANDERSON_WINDOW
-    kwargs["eta" if name == "fixed" else "eta0"] = eta
-    return make_vda_policy(name, **kwargs)
-
-
-def loadshare_v0(
-    v_pin: float, r_seg: np.ndarray, tier_totals: np.ndarray, n_pillars: int
-) -> np.ndarray:
-    """The ``v0_init="loadshare"`` seed -- one formula for both solvers.
-
-    Approximates each pillar's fixed-point voltage by dropping an equal
-    share of the tiers' total load through the pillar's segment
-    resistances: segment ``l`` carries roughly ``sum_{m <= l} load_m / P``,
-    so ``V0 ~= v_pin - sum_l r_seg[l] * i_seg,l``.  Accepts the
-    single-scenario shapes (``r_seg (T, P)``, ``tier_totals (T,)``) and
-    the batched ones (``(T, P, S)``, ``(T, S)``), returning ``(P,)`` or
-    ``(P, S)`` accordingly.
-    """
-    seg_currents = np.cumsum(np.asarray(tier_totals, dtype=float), axis=0)
-    seg_currents = seg_currents / max(n_pillars, 1)
-    if r_seg.ndim == 3:
-        drop = (r_seg * seg_currents[:, None, :]).sum(axis=0)
-    else:
-        drop = (r_seg * seg_currents[:, None]).sum(axis=0)
-    return v_pin - drop
 
 
 @dataclass
@@ -175,7 +126,7 @@ class VPStats:
     setup_seconds: float = 0.0
     solve_seconds: float = 0.0
     phase_seconds: dict[str, float] = field(
-        default_factory=lambda: {"cvn": 0.0, "tsv": 0.0, "propagate": 0.0, "vda": 0.0}
+        default_factory=lambda: dict.fromkeys(PHASES, 0.0)
     )
     outer_iterations: int = 0
     total_inner_iterations: int = 0
@@ -238,8 +189,6 @@ class VoltagePropagationSolver:
         self.n_tiers = stack.n_tiers
         self.pillar_flat = stack.pillar_flat_indices()
         self.pillar_mask = stack.pillar_mask()
-        self.has_pin = stack.pillars.has_pin
-        self.r_seg = stack.pillars.r_seg
         self.v_pin = stack.v_pin
 
         # Per-tier plane systems -- used for TSV current extraction in all
@@ -254,28 +203,12 @@ class VoltagePropagationSolver:
         else:
             self._setup_reduced()
 
-        # Stability bound for the VDA damping: raising V0(j) by 1 V raises
-        # the propagated source voltage by at most
-        # prod_l (1 + r_seg[l,j] * G_deg(j)) volts, G_deg being the plane
-        # conductance incident at the pillar node.  1 / (that bound) is a
-        # safe Richardson step for the diagonal of the outer Jacobian.
-        degree_all = stack.tiers[0].degree_conductance().ravel()[self.pillar_flat]
-        gain_bound = np.ones(self.pillar_flat.size)
-        for l in range(self.n_tiers):
-            gain_bound *= 1.0 + self.r_seg[l] * degree_all
-        self.pillar_gain_bound = gain_bound
-        self.auto_eta = float(min(0.5, 1.0 / max(gain_bound.max(), 1.0)))
-
-        # Voltage scale for the residual of un-pinned pillars: total pillar
-        # resistance plus a local plane-spreading estimate.
-        if not np.all(self.has_pin):
-            degree = stack.tiers[0].degree_conductance().ravel()[self.pillar_flat]
-            series = self.r_seg[:-1].sum(axis=0) if self.n_tiers > 1 else np.zeros(
-                self.pillar_flat.shape
-            )
-            self._r_unit = series + 1.0 / np.maximum(degree, 1e-12)
-        else:
-            self._r_unit = None
+        # Gain bound, VDA damping and residual scale of the pillars: the
+        # kernel's 1-column batch.
+        degree = stack.tiers[0].degree_conductance().ravel()[self.pillar_flat]
+        self.pillars = pillar_gain(
+            degree[:, None], stack.pillars.r_seg[:, :, None], stack.pillars.has_pin
+        )
 
         self._setup_seconds = time.perf_counter() - t_start
 
@@ -319,15 +252,17 @@ class VoltagePropagationSolver:
         """Reduced free-node systems for the direct/cg inner solvers.
 
         The partitioned structure (and, for ``direct``, the shared LU
-        factors) lives in :class:`ReducedPlaneSystem` -- the same kernel
-        the batched scenario engine drives with multi-column RHS
-        matrices; here it runs with single columns (batch size 1).
+        factors and pillar rows) lives in :class:`ReducedPlaneSystem`;
+        ``direct`` solves run it as the batched engine does, with a
+        1-column batch.
         """
+        direct = self.config.inner == "direct"
         self._reduced = ReducedPlaneSystem(
             self.stack,
             groups=self._tier_group,
             planes=self._planes,
-            factorize=self.config.inner == "direct",
+            factorize=direct,
+            pillar_rows=direct,
         )
         self._free = self._reduced.free
 
@@ -367,201 +302,70 @@ class VoltagePropagationSolver:
         return int(total)
 
     # ------------------------------------------------------------------
-    # Intra-plane solve (phase 1)
-    # ------------------------------------------------------------------
-    def _solve_tier(
-        self,
-        tier_index: int,
-        pillar_voltages: np.ndarray,
-        warm: np.ndarray,
-        tol: float,
-    ) -> tuple[np.ndarray, int]:
-        """Solve one tier with its pillar nodes fixed; returns (field,
-        inner iterations)."""
-        if self.config.inner == "rb":
-            dvals = warm.copy()
-            dvals[self.stack.pillars.positions[:, 0],
-                  self.stack.pillars.positions[:, 1]] = pillar_voltages
-            result = self._rb_solvers[tier_index].solve(
-                dirichlet_values=dvals,
-                v0=warm if self.config.warm_start else None,
-                tol=tol,
-                omega=self._rb_omega,
-                base_rhs=self._rb_base[tier_index],
-            )
-            return result.v, result.sweeps
-
-        reduced = self._reduced
-        v_field = warm.copy().ravel()
-        if self.config.inner == "direct":
-            x = reduced.solve_free(tier_index, pillar_voltages)
-            iterations = 1
-        else:
-            b = reduced.reduced_rhs(tier_index, pillar_voltages)
-            inv_diag = reduced.jacobi_inv[tier_index]
-            x0 = v_field[self._free] if self.config.warm_start else None
-            result = cg(
-                reduced.a_ff[tier_index],
-                b,
-                x0=x0,
-                m_inv=lambda r: inv_diag * r,
-                tol=tol,
-                criterion="max_dx",
-                max_iter=50_000,
-            )
-            x = result.x
-            iterations = result.iterations
-        v_field[self._free] = x
-        v_field[self.pillar_flat] = pillar_voltages
-        return v_field.reshape(self.rows, self.cols), iterations
-
-    # ------------------------------------------------------------------
     # Outer loop
     # ------------------------------------------------------------------
     def solve(self, v0: np.ndarray | None = None) -> VPResult:
-        """Run the VP outer iteration to convergence.
+        """Run the VP outer iteration to convergence: the shared kernel
+        (:func:`repro.core.kernel.run_outer_loop`) as a 1-column batch,
+        with the batched engine's factored plane operator for
+        ``inner="direct"`` and a warm-started iterative one for ``"rb"``
+        / ``"cg"``.
 
-        ``v0`` optionally seeds the layer-0 TSV voltages (defaults to the
-        pin voltage, the paper's initialization).
+        ``v0`` optionally seeds the layer-0 TSV voltages (default: the
+        ``config.v0_init`` rule; the paper's is the pin voltage).
         """
         config = self.config
-        t_start = time.perf_counter()
-        n_pillars = self.pillar_flat.size
-        if v0 is None:
-            v0 = self._initial_v0()
-        else:
-            v0 = np.array(v0, dtype=float)
-            if v0.shape != (n_pillars,):
-                raise GridError(
-                    f"v0 has shape {v0.shape}, expected ({n_pillars},)"
-                )
-
-        policy = self._resolve_vda_policy()
-        policy.reset(n_pillars)
-
-        voltages = np.full((self.n_tiers, self.rows, self.cols), self.v_pin)
-        stats = VPStats(setup_seconds=self._setup_seconds)
-        phase = stats.phase_seconds
-        tr = obs.tracer()
-        residual_series = obs.active_series("vp.residual")
-        history: list[OuterRecord] = []
-        prev_max_f: float | None = None
-        converged = False
-        max_f = np.inf
-        cumulative = np.zeros(n_pillars)
-
-        for outer in range(1, config.max_outer + 1):
-            inner_tol = self._inner_tolerance(prev_max_f)
-            pillar_v = v0.copy()
-            cumulative = np.zeros(n_pillars)
-            inner_iters: list[int] = []
-
-            for l in range(self.n_tiers):
-                t0 = time.perf_counter()
-                field_l, iters = self._solve_tier(
-                    l, pillar_v, voltages[l], inner_tol
-                )
-                voltages[l] = field_l
-                dt = time.perf_counter() - t0
-                phase["cvn"] += dt
-                if tr.enabled:
-                    tr.add_complete("cvn", t0, dt, outer=outer, tier=l)
-
-                t0 = time.perf_counter()
-                matrix, rhs = self._planes[l]
-                drawn = pillar_drawn_currents(
-                    matrix, rhs, field_l, self.pillar_flat
-                )
-                cumulative += drawn
-                dt = time.perf_counter() - t0
-                phase["tsv"] += dt
-                if tr.enabled:
-                    tr.add_complete("tsv", t0, dt, outer=outer, tier=l)
-
-                t0 = time.perf_counter()
-                pillar_v = pillar_v + cumulative * self.r_seg[l]
-                phase["propagate"] += time.perf_counter() - t0
-                inner_iters.append(iters)
-
-            # Residual: propagated-source-voltage gap at pinned pillars,
-            # leftover pillar current (in volts) at un-pinned ones.
-            if self._r_unit is None:
-                residual = self.v_pin - pillar_v
-            else:
-                residual = np.where(
-                    self.has_pin,
-                    self.v_pin - pillar_v,
-                    -cumulative * self._r_unit,
-                )
-            max_f = float(np.max(np.abs(residual))) if n_pillars else 0.0
-            stats.total_inner_iterations += sum(inner_iters)
-            if residual_series is not None:
-                residual_series.append(outer, max_f)
-            if config.record_history:
-                history.append(
-                    OuterRecord(
-                        iteration=outer,
-                        max_vdiff=max_f,
-                        inner_iterations=inner_iters,
-                        inner_tol=inner_tol,
-                    )
-                )
-            if max_f <= config.outer_tol:
-                converged = True
-                stats.outer_iterations = outer
-                break
-
-            t0 = time.perf_counter()
-            v0 = policy.update(v0, residual)
-            phase["vda"] += time.perf_counter() - t0
-            prev_max_f = max_f
-            stats.outer_iterations = outer
-
-        stats.solve_seconds = time.perf_counter() - t_start
-        stats.memory_bytes = self.memory_bytes
-        obs.add("vp.outer_iterations", stats.outer_iterations)
-        if tr.enabled:
-            tr.add_complete(
-                "vp.solve", t_start, stats.solve_seconds,
-                outer_iterations=stats.outer_iterations, converged=converged,
+        if config.inner == "direct":
+            reduced = self._reduced
+            op = FactoredPlanes(
+                reduced,
+                [b[:, None] for b in reduced.b_free],
+                [b[:, None] for b in reduced.b_pillar],
             )
+        else:
+            op = _IterativePlanes(self)
+        tier_totals = np.array([tier.total_load() for tier in self.stack.tiers])
+        loop = run_outer_loop(
+            op,
+            self.pillars,
+            seed_v0(v0, self.pillars, self.v_pin, config.v0_init, tier_totals[:, None]),
+            config,
+            target=self.v_pin,
+            engine="vp",
+            record_history=config.record_history,
+        )
+
+        if config.inner == "direct":
+            inner = [[1] * self.n_tiers for _ in range(loop.outer_iterations)]
+        else:
+            inner = op.inner_iterations
+        max_f = [float(record.max_vdiff[0]) for record in loop.history]
+        history = [
+            OuterRecord(k + 1, f, iters, self._inner_tolerance(prev))
+            for k, (f, iters, prev) in enumerate(zip(max_f, inner, [None] + max_f))
+        ]
+        stats = VPStats(
+            setup_seconds=self._setup_seconds,
+            solve_seconds=loop.seconds,
+            phase_seconds=loop.phase_seconds,
+            outer_iterations=loop.outer_iterations,
+            total_inner_iterations=sum(map(sum, inner)),
+            memory_bytes=self.memory_bytes,
+        )
         result = VPResult(
-            voltages=voltages,
-            converged=converged,
-            outer_iterations=stats.outer_iterations,
-            max_vdiff=max_f,
-            pillar_v0=v0,
-            pillar_currents=cumulative,
+            voltages=loop.voltages[..., 0].reshape(
+                self.n_tiers, self.rows, self.cols
+            ),
+            converged=bool(loop.converged[0]),
+            outer_iterations=loop.outer_iterations,
+            max_vdiff=float(loop.max_vdiff[0]),
+            pillar_v0=loop.pillar_v0[:, 0],
+            pillar_currents=loop.pillar_currents[:, 0],
             history=history,
             stats=stats,
         )
         result.info_v_pin = self.v_pin
-        if config.raise_on_divergence and not converged:
-            raise ConvergenceError(
-                f"VP did not converge in {config.max_outer} outer iterations "
-                f"(max |Vdiff| = {max_f:.3e} V)",
-                stats.outer_iterations,
-                max_f,
-            )
         return result
-
-    def _initial_v0(self) -> np.ndarray:
-        """Default layer-0 TSV voltage seed per ``config.v0_init``
-        (see :func:`loadshare_v0`)."""
-        n_pillars = self.pillar_flat.size
-        if self.config.v0_init == "pin" or n_pillars == 0:
-            return np.full(n_pillars, self.v_pin)
-        tier_totals = np.array(
-            [tier.total_load() for tier in self.stack.tiers]
-        )
-        return loadshare_v0(self.v_pin, self.r_seg, tier_totals, n_pillars)
-
-    def _resolve_vda_policy(self) -> VDAPolicy:
-        """Materialize the configured VDA policy (see
-        :func:`resolve_vda_policy`)."""
-        return resolve_vda_policy(
-            self.config.vda, self.config.eta, self.auto_eta
-        )
 
     def _inner_tolerance(self, prev_max_f: float | None) -> float:
         """Inexact inner solves, gain-aware.
@@ -575,7 +379,7 @@ class VoltagePropagationSolver:
         forcing), never sloppier than a tenth of the outer tolerance.
         """
         config = self.config
-        gain = float(max(self.pillar_gain_bound.max(), 1.0))
+        gain = float(max(self.pillars.bound.max(), 1.0))
         if prev_max_f is None:
             f_target = 10.0 * config.outer_tol
         else:
@@ -617,6 +421,77 @@ class VoltagePropagationSolver:
                 self._rb_base[l] = self._tier_base_rhs(tier)
             else:
                 self._reduced.update_rhs(l, rhs)
+
+
+class _IterativePlanes(PlaneOperator):
+    """Single-column ``rb`` / ``cg`` plane operator of the paper
+    reproduction.
+
+    Each tier solve warm-starts from the tier's previous field and runs
+    to the gain-aware inexact tolerance of the current outer iteration
+    (:meth:`VoltagePropagationSolver._inner_tolerance`); drawn currents
+    come from the full plane matrices.  ``inner_iterations`` logs the
+    per-tier inner iteration counts of every outer iteration.
+    """
+
+    def __init__(self, solver: VoltagePropagationSolver):
+        self.solver = solver
+        self.n = solver.rows * solver.cols
+        self.warm = [
+            np.full((solver.rows, solver.cols), solver.v_pin)
+            for _ in range(solver.n_tiers)
+        ]
+        self.tol = 0.0
+        self.inner_iterations: list[list[int]] = []
+
+    def begin(self, max_vdiff):
+        prev_max_f = float(max_vdiff[0]) if self.inner_iterations else None
+        self.tol = self.solver._inner_tolerance(prev_max_f)
+        self.inner_iterations.append([])
+
+    def solve(self, l, pillar_v, idx, out):
+        solver, config = self.solver, self.solver.config
+        pillar_v = pillar_v[:, 0]
+        warm = self.warm[l]
+        if config.inner == "rb":
+            dvals = warm.copy()
+            positions = solver.stack.pillars.positions
+            dvals[positions[:, 0], positions[:, 1]] = pillar_v
+            result = solver._rb_solvers[l].solve(
+                dirichlet_values=dvals,
+                v0=warm if config.warm_start else None,
+                tol=self.tol,
+                omega=solver._rb_omega,
+                base_rhs=solver._rb_base[l],
+            )
+            field_l, iterations = result.v, result.sweeps
+        else:
+            reduced = solver._reduced
+            v_field = warm.copy().ravel()
+            inv_diag = reduced.jacobi_inv[l]
+            result = cg(
+                reduced.a_ff[l],
+                reduced.reduced_rhs(l, pillar_v),
+                x0=v_field[solver._free] if config.warm_start else None,
+                m_inv=lambda r: inv_diag * r,
+                tol=self.tol,
+                criterion="max_dx",
+                max_iter=50_000,
+            )
+            v_field[solver._free] = result.x
+            v_field[solver.pillar_flat] = pillar_v
+            field_l = v_field.reshape(solver.rows, solver.cols)
+            iterations = result.iterations
+        self.warm[l] = field_l
+        self.inner_iterations[-1].append(iterations)
+        out[:, 0] = field_l.ravel()
+        return out
+
+    def drawn(self, l, v_full, idx):
+        matrix, rhs = self.solver._planes[l]
+        return pillar_drawn_currents(
+            matrix, rhs, v_full[:, 0], self.solver.pillar_flat
+        )[:, None]
 
 
 def solve_vp(stack: PowerGridStack, **config_kwargs) -> VPResult:

@@ -18,10 +18,13 @@ Sherman-Morrison-Woodbury correction per tier solve:
   resistances (TSV resizes), and per-candidate pin masks flow through
   the same per-column arrays the plain batched engine already uses.
 
-Column ``(c, s)`` follows exactly the iteration sequence a standalone
+The loop is the one VP outer-iteration kernel
+(:func:`repro.core.kernel.run_outer_loop`) with this module's
+SMW-corrected plane operator plugged in, so column ``(c, s)`` follows
+exactly the iteration sequence a standalone
 ``BatchedVPSolver(candidate.apply(stack), scenario_s)`` takes -- same
 seeds, same per-column gain-bound damping, same VDA policy selection,
-same retirement rule -- so the incremental result matches the direct
+same retirement rule -- and the incremental result matches the direct
 re-solve to solver round-off (the ``rtol <= 1e-10`` parity contract).
 """
 
@@ -34,17 +37,17 @@ import numpy as np
 from scipy import sparse
 
 from repro import obs
-from repro.core.batch import BatchedVPConfig, _ColumnSplitVDA
-from repro.core.planes import ReducedPlaneSystem
-from repro.core.vda import VDAPolicy, make_vda_policy
-from repro.core.vp import (
-    AUTO_ANDERSON_WINDOW,
-    AUTO_ETA_THRESHOLD,
-    loadshare_v0,
-    resolve_vda_policy,
+from repro.core.batch import BatchedVPConfig
+from repro.core.kernel import (
+    FactoredPlanes,
+    narrow_columns,
+    pillar_gain,
+    run_outer_loop,
+    seed_v0,
 )
+from repro.core.planes import ReducedPlaneSystem
 from repro.eco.edits import CompiledCandidate
-from repro.errors import ConvergenceError, GridError, ReproError
+from repro.errors import ReproError
 from repro.grid.stack3d import PowerGridStack
 from repro.scenarios.spec import ScenarioSet
 
@@ -221,28 +224,24 @@ class EcoBatchSolver:
         # -- per-column propagation-phase data -------------------------
         # Same sharing scheme: tile the base tables, overwrite only the
         # candidates that deviate from them.
-        base_r_seg = stack.pillars.r_seg
-        self.r_seg = np.tile(
-            self.scenarios.r_seg_table(base_r_seg), (1, 1, self.n_cand)
+        r_seg = np.tile(
+            self.scenarios.r_seg_table(stack.pillars.r_seg), (1, 1, self.n_cand)
         )
-        self.has_pin = np.tile(
-            stack.pillars.has_pin[:, None], (1, self.n_cols)
-        )
+        has_pin = np.tile(stack.pillars.has_pin[:, None], (1, self.n_cols))
         degree0 = stack.tiers[0].degree_conductance().ravel()
         base_totals = np.array([tier.total_load() for tier in stack.tiers])
         self._tier_totals = np.tile(
             base_totals[:, None] * load_scales, (1, self.n_cand)
         )
-        gain_bound = np.ones((n_pillars, self.n_cols))
         degree_cols = np.tile(
             degree0[self.pillar_flat, None], (1, self.n_cols)
         )
         for c, cand in enumerate(self.compiled):
             sl = slice(c * self.n_scen, (c + 1) * self.n_scen)
             if cand.r_seg is not None:
-                self.r_seg[:, :, sl] = self.scenarios.r_seg_table(cand.r_seg)
+                r_seg[:, :, sl] = self.scenarios.r_seg_table(cand.r_seg)
             if cand.has_pin is not None:
-                self.has_pin[:, sl] = cand.has_pin[:, None]
+                has_pin[:, sl] = cand.has_pin[:, None]
             delta0 = cand.degree_delta(0, n)
             if delta0 is not None:
                 degree_cols[:, sl] += delta0[self.pillar_flat, None]
@@ -250,26 +249,10 @@ class EcoBatchSolver:
                 totals_c = base_totals + cand.tier_load_deltas(self.n_tiers)
                 self._tier_totals[:, sl] = totals_c[:, None] * load_scales
 
-        # Per-column stability bound, mirroring the plain batched engine
-        # (which reads the *edited* tier-0 degree off the applied stack).
-        for l in range(self.n_tiers):
-            gain_bound *= 1.0 + self.r_seg[l] * degree_cols
-        self.pillar_gain_bound = gain_bound
-        peak = (
-            np.maximum(gain_bound.max(axis=0), 1.0)
-            if n_pillars
-            else np.ones(self.n_cols)
-        )
-        self.auto_eta = np.minimum(0.5, 1.0 / peak)
-        if not np.all(self.has_pin):
-            series = (
-                self.r_seg[:-1].sum(axis=0)
-                if self.n_tiers > 1
-                else np.zeros((n_pillars, self.n_cols))
-            )
-            self._r_unit = series + 1.0 / np.maximum(degree_cols, 1e-12)
-        else:
-            self._r_unit = None
+        # Per-column gain bound and damping, mirroring the plain batched
+        # engine (which reads the *edited* tier-0 degree off the applied
+        # stack).
+        self.pillars = pillar_gain(degree_cols, r_seg, has_pin)
 
         # -- low-rank updates: fused Z solves, per-candidate factors ---
         # Each edited tier concatenates every candidate's update columns
@@ -333,32 +316,76 @@ class EcoBatchSolver:
         self._setup_seconds = time.perf_counter() - t_start
 
     # ------------------------------------------------------------------
-    def _resolve_vda_policy(self) -> VDAPolicy:
-        config = self.config
-        if not isinstance(config.vda, VDAPolicy) and config.vda == "auto":
-            soft = self.auto_eta >= AUTO_ETA_THRESHOLD
-            if soft.any() and (~soft).any():
-                eta = self.auto_eta if config.eta is None else config.eta
-                return _ColumnSplitVDA(
-                    [
-                        (make_vda_policy("adaptive", eta0=eta), soft),
-                        (
-                            make_vda_policy(
-                                "anderson", m=AUTO_ANDERSON_WINDOW, eta0=eta
-                            ),
-                            ~soft,
-                        ),
-                    ]
-                )
-        return resolve_vda_policy(config.vda, config.eta, self.auto_eta)
+    def solve(self, v0: np.ndarray | None = None) -> EcoBatchResult:
+        """Run the incremental lockstep outer iteration.
 
-    def _initial_v0(self) -> np.ndarray:
-        n_pillars = self.pillar_flat.size
-        if self.config.v0_init == "pin" or n_pillars == 0:
-            return np.full((n_pillars, self.n_cols), self.v_pin)
-        return loadshare_v0(
-            self.v_pin, self.r_seg, self._tier_totals, n_pillars
+        The loop is the plain batched engine's -- the shared kernel
+        (:func:`repro.core.kernel.run_outer_loop`): CVN solve, drawn
+        currents, propagation, VDA, early retirement -- with the SMW
+        coupling/correction passes spliced around each tier solve by
+        the plane operator.  Zero factorizations by construction.
+        ``v0`` seeds the layer-0 TSV voltages as in
+        :meth:`repro.core.batch.BatchedVPSolver.solve`.
+        """
+        config = self.config
+        op = _SmwPlanes(self.planes, self._b_free, self._b_pillar, self._updates)
+        loop = run_outer_loop(
+            op,
+            self.pillars,
+            seed_v0(v0, self.pillars, self.v_pin, config.v0_init, self._tier_totals),
+            config,
+            target=self.v_pin,
+            engine="eco",
         )
+        stats = EcoBatchStats(
+            setup_seconds=self._setup_seconds,
+            solve_seconds=loop.seconds,
+            outer_iterations=loop.outer_iterations,
+            column_solves=loop.column_solves,
+            correction_solves=op.correction_solves,
+        )
+        return EcoBatchResult(
+            voltages=loop.voltages.reshape(
+                self.n_tiers, self.rows, self.cols, self.n_cols
+            ),
+            converged=loop.converged,
+            outer_iterations=loop.outer_counts,
+            max_vdiff=loop.max_vdiff,
+            pillar_v0=loop.pillar_v0,
+            pillar_currents=loop.pillar_currents,
+            candidate_names=[c.name for c in self.compiled],
+            scenario_names=self.scenarios.names,
+            stats=stats,
+            info_v_pin=self.v_pin,
+        )
+
+
+class _SmwPlanes(FactoredPlanes):
+    """Plane operator of the ECO engine: base-factor solves with a
+    Sherman-Morrison-Woodbury correction on edited tiers.
+
+    Around each base solve of a tier some live column edits, it
+    pre-subtracts the edited coupling, runs one multi-column Woodbury
+    correction solve for every edited column, and adds the edited
+    matrix's pillar-row delta to the drawn currents.
+    """
+
+    def __init__(self, planes, b_free, b_pillar, updates: dict[int, _TierUpdates]):
+        super().__init__(planes, b_free, b_pillar)
+        self.updates = updates
+        self.correction_solves = 0
+
+    def _edited(self, l: int, idx: np.ndarray):
+        """Tier ``l``'s updates, their ``(K, k)`` mask over the live
+        columns, and the live positions some update edits -- None when
+        no live column is edited on this tier."""
+        tu = self.updates.get(l)
+        if tu is None:
+            return None
+        mask_idx = tu.mask[:, idx]
+        if not mask_idx.any():
+            return None
+        return tu, mask_idx, np.flatnonzero(mask_idx.any(axis=0))
 
     @staticmethod
     def _positions(idx: np.ndarray, cols: np.ndarray):
@@ -370,198 +397,58 @@ class EcoBatchSolver:
             return None
         return pos[valid]
 
-    # ------------------------------------------------------------------
-    def solve(self, v0: np.ndarray | None = None) -> EcoBatchResult:
-        """Run the incremental lockstep outer iteration.
-
-        The loop structure is the plain batched engine's -- CVN solve,
-        drawn currents, propagation, VDA, early retirement -- with the
-        SMW coupling/correction passes spliced around each tier solve.
-        Zero factorizations by construction.
-        """
-        config = self.config
-        t_start = time.perf_counter()
+    def solve(self, l, pillar_v, idx, out):
         planes = self.planes
-        n_pillars = self.pillar_flat.size
-        n_cols = self.n_cols
-        if v0 is None:
-            v0 = self._initial_v0()
-        else:
-            v0 = np.array(v0, dtype=float)
-            if v0.shape == (n_pillars,):
-                v0 = np.repeat(v0[:, None], n_cols, axis=1)
-            elif v0.shape != (n_pillars, n_cols):
-                raise GridError(
-                    f"v0 has shape {v0.shape}, expected ({n_pillars},) "
-                    f"or ({n_pillars}, {n_cols})"
-                )
-
-        policy = self._resolve_vda_policy()
-        policy.reset((n_pillars, n_cols))
-
-        n = self.rows * self.cols
-        voltages = np.empty((self.n_tiers, n, n_cols))
-        stats = EcoBatchStats(setup_seconds=self._setup_seconds)
-        tr = obs.tracer()
-        reg = obs.metrics()
-        active = np.ones(n_cols, dtype=bool)
-        converged = np.zeros(n_cols, dtype=bool)
-        outer_counts = np.zeros(n_cols, dtype=int)
-        max_f = np.full(n_cols, np.inf)
-        residual_full = np.zeros((n_pillars, n_cols))
-        pillar_currents = np.zeros((n_pillars, n_cols))
-
-        def narrow(matrix: np.ndarray, idx: np.ndarray) -> np.ndarray:
-            return matrix if idx.size == n_cols else matrix[:, idx]
-
-        idx = np.flatnonzero(active)
-        fields: list[np.ndarray] = []
-        in_place = False
-        for outer in range(1, config.max_outer + 1):
-            idx = np.flatnonzero(active)
-            stats.column_solves += idx.size
-            reg.add("eco.column_solves", int(idx.size))
-            pillar_v = v0[:, idx].copy() if idx.size != n_cols else v0.copy()
-            cumulative = np.zeros((n_pillars, idx.size))
-            fields = []
-            in_place = idx.size == n_cols
-
-            for l in range(self.n_tiers):
-                t0 = time.perf_counter()
-                b_l = narrow(self._b_free[l], idx)
-                tu = self._updates.get(l)
-                mask_idx = tu.mask[:, idx] if tu is not None else None
-                if mask_idx is not None and not mask_idx.any():
-                    mask_idx = None
-                if mask_idx is not None:
-                    ed = np.flatnonzero(mask_idx.any(axis=0))
-                    # ΔA_fp coupling: the edited tier's reduced RHS is
-                    # b_f - (A_fp + W_f D W_p^T) v_p; pre-subtract the
-                    # delta so the shared solve_free handles the rest.
-                    # The mask zeroes every (row block, column) pair
-                    # outside the block's own candidate, so one
-                    # whole-tier product covers all live updates.
-                    coup = np.where(
-                        mask_idx, tu.d[:, None] * (tu.w_p.T @ pillar_v), 0.0
-                    )
-                    b_l = np.array(b_l, copy=True)
-                    b_l[:, ed] -= tu.w_f @ coup[:, ed]
-                y = planes.solve_free(l, pillar_v, b_free=b_l)
-                if mask_idx is not None:
-                    # Woodbury correction for every edited live column,
-                    # batched into ONE extra multi-column solve.
-                    local = np.full(idx.size, -1, dtype=int)
-                    local[ed] = np.arange(ed.size)
-                    g = np.asarray(tu.w_f.T @ y)
-                    t_cap = np.zeros((tu.d.size, ed.size))
-                    for blk in tu.blocks:
-                        pos = self._positions(idx, blk.cols)
-                        if pos is None:
-                            continue
-                        t_cap[blk.sl, local[pos]] = blk.lru.capacitance_solve(
-                            np.ascontiguousarray(g[blk.sl][:, pos])
-                        )
-                    corr_rhs = np.asarray(tu.w_f @ t_cap)
-                    corr = planes.solve_free(
-                        l, np.zeros((n_pillars, ed.size)), b_free=corr_rhs
-                    )
-                    y[:, ed] -= corr
-                    stats.correction_solves += 1
-                    reg.add("eco.correction_solves")
-                v_full = planes.assemble(
-                    y, pillar_v, out=voltages[l] if in_place else None
-                )
-                fields.append(v_full)
-                drawn = planes.drawn_currents(
-                    l, v_full, b_pillar=narrow(self._b_pillar[l], idx)
-                )
-                if mask_idx is not None:
-                    # Pillar-row delta of the edited matrix:
-                    # (W D W^T v)|pillars, accumulated into the drawn
-                    # currents the propagation phase integrates.
-                    delta = np.where(
-                        mask_idx, tu.d[:, None] * (tu.w.T @ v_full), 0.0
-                    )
-                    drawn[:, ed] += tu.w_p @ delta[:, ed]
-                cumulative += drawn
-                pillar_v = pillar_v + cumulative * narrow(self.r_seg[l], idx)
-                if tr.enabled:
-                    tr.add_complete(
-                        "eco.cvn", t0, time.perf_counter() - t0,
-                        outer=outer, tier=l, columns=int(idx.size),
-                        corrected=0 if mask_idx is None else int(ed.size),
-                    )
-
-            pillar_currents[:, idx] = cumulative
-            if self._r_unit is None:
-                residual = self.v_pin - pillar_v
-            else:
-                residual = np.where(
-                    narrow(self.has_pin, idx),
-                    self.v_pin - pillar_v,
-                    -cumulative * narrow(self._r_unit, idx),
-                )
-            residual_full[:, idx] = residual
-            f_active = (
-                np.max(np.abs(residual), axis=0)
-                if n_pillars
-                else np.zeros(idx.size)
+        b_l = narrow_columns(self.b_free[l], idx)
+        edited = self._edited(l, idx)
+        if edited is not None:
+            tu, mask_idx, ed = edited
+            # ΔA_fp coupling: the edited tier's reduced RHS is
+            # b_f - (A_fp + W_f D W_p^T) v_p; pre-subtract the delta so
+            # the shared solve_free handles the rest.  The mask zeroes
+            # every (row block, column) pair outside the block's own
+            # candidate, so one whole-tier product covers all live
+            # updates.
+            coup = np.where(
+                mask_idx, tu.d[:, None] * (tu.w_p.T @ pillar_v), 0.0
             )
-            max_f[idx] = f_active
-            outer_counts[idx] = outer
-
-            done = f_active <= config.outer_tol
-            if np.any(done):
-                cols = idx[done]
-                if not in_place:
-                    for l in range(self.n_tiers):
-                        voltages[l][:, cols] = fields[l][:, done]
-                converged[cols] = True
-                active[cols] = False
-            stats.outer_iterations = outer
-            if not active.any():
-                break
-
-            v_new = policy.update(v0, residual_full, active=active)
-            live_cols = np.flatnonzero(active)
-            v0[:, live_cols] = v_new[:, live_cols]
-
-        if active.any() and not in_place:
-            live_mask = active[idx]
-            cols = np.flatnonzero(active)
-            for l in range(self.n_tiers):
-                voltages[l][:, cols] = fields[l][:, live_mask]
-
-        stats.solve_seconds = time.perf_counter() - t_start
-        reg.add("eco.outer_iterations", stats.outer_iterations)
-        if tr.enabled:
-            tr.add_complete(
-                "eco.solve", t_start, stats.solve_seconds,
-                candidates=self.n_cand, scenarios=self.n_scen,
-                outer_iterations=stats.outer_iterations,
+            b_l = np.array(b_l, copy=True)
+            b_l[:, ed] -= tu.w_f @ coup[:, ed]
+        y = planes.solve_free(l, pillar_v, b_free=b_l)
+        if edited is not None:
+            # Woodbury correction for every edited live column, batched
+            # into ONE extra multi-column solve.
+            local = np.full(idx.size, -1, dtype=int)
+            local[ed] = np.arange(ed.size)
+            g = np.asarray(tu.w_f.T @ y)
+            t_cap = np.zeros((tu.d.size, ed.size))
+            for blk in tu.blocks:
+                pos = self._positions(idx, blk.cols)
+                if pos is None:
+                    continue
+                t_cap[blk.sl, local[pos]] = blk.lru.capacitance_solve(
+                    np.ascontiguousarray(g[blk.sl][:, pos])
+                )
+            corr_rhs = np.asarray(tu.w_f @ t_cap)
+            corr = planes.solve_free(
+                l, np.zeros((pillar_v.shape[0], ed.size)), b_free=corr_rhs
             )
-        result = EcoBatchResult(
-            voltages=voltages.reshape(
-                self.n_tiers, self.rows, self.cols, n_cols
-            ),
-            converged=converged,
-            outer_iterations=outer_counts,
-            max_vdiff=max_f,
-            pillar_v0=v0,
-            pillar_currents=pillar_currents,
-            candidate_names=[c.name for c in self.compiled],
-            scenario_names=self.scenarios.names,
-            stats=stats,
-            info_v_pin=self.v_pin,
-        )
-        if config.raise_on_divergence and not converged.all():
-            raise ConvergenceError(
-                f"{int((~converged).sum())} ECO column(s) did not converge "
-                f"in {config.max_outer} outer iterations",
-                stats.outer_iterations,
-                float(max_f.max()),
-            )
-        return result
+            y[:, ed] -= corr
+            self.correction_solves += 1
+            obs.add("eco.correction_solves")
+        return planes.assemble(y, pillar_v, out=out)
+
+    def drawn(self, l, v_full, idx):
+        drawn = super().drawn(l, v_full, idx)
+        edited = self._edited(l, idx)
+        if edited is not None:
+            # Pillar-row delta of the edited matrix: (W D W^T v)|pillars,
+            # accumulated into the drawn currents the propagation phase
+            # integrates.
+            tu, mask_idx, ed = edited
+            delta = np.where(mask_idx, tu.d[:, None] * (tu.w.T @ v_full), 0.0)
+            drawn[:, ed] += tu.w_p @ delta[:, ed]
+        return drawn
 
 
 __all__ = ["EcoBatchResult", "EcoBatchSolver", "EcoBatchStats"]

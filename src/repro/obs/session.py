@@ -170,9 +170,9 @@ def active_series(name: str) -> Series | None:
 class Stopwatch:
     """Context manager timing a block into ``.seconds``.
 
-    Always measures (callers read ``.seconds`` afterwards, like the old
-    ``analysis.runtime.Timer``); additionally records a span when the
-    active tracer is enabled, so bench phases show up in profiles.
+    Always measures (callers read ``.seconds`` afterwards); additionally
+    records a span when the active tracer is enabled, so bench phases
+    show up in profiles.
     """
 
     __slots__ = ("name", "attrs", "seconds", "_t0")

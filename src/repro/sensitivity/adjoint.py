@@ -12,17 +12,16 @@ solve prices every wire width, TSV size, pad, and load current at once,
 where finite differences would pay two full solves per parameter.
 
 The adjoint system is the same grid driven by different injections with
-the pin rail grounded, so :class:`AdjointVPSolver` runs the VP outer
-iteration *in reverse*: per tier it back-substitutes the metric
-injections on the **transposed** cached plane factors
-(:meth:`~repro.core.planes.ReducedPlaneSystem.solve_free_transpose`),
-accumulates adjoint pillar currents, propagates them up the TSV
-segments, and drives the propagated adjoint pin values to zero with the
-ordinary VDA policies.  No new factorization is ever performed -- the
-engine counts against :class:`~repro.core.planes.PlaneFactorCache`
-exactly like the Monte Carlo driver, and
-:func:`adjoint_gradient` reports the delta so tests can assert it is
-zero.
+the pin rail grounded, so :class:`AdjointVPSolver` runs the one VP outer
+iteration kernel (:func:`repro.core.kernel.run_outer_loop`) *in
+reverse*: per tier it back-substitutes the metric injections on the
+**transposed** cached plane factors, accumulates adjoint pillar
+currents, propagates them up the TSV segments, and drives the
+propagated adjoint pin values to zero with the ordinary VDA policies.
+No new factorization is ever performed -- the engine counts against
+:class:`~repro.core.planes.PlaneFactorCache` exactly like the Monte
+Carlo driver, and :func:`adjoint_gradient` reports the delta so tests
+can assert it is zero.
 
 Metrics: :class:`SmoothWorstDrop` (log-sum-exp soft max over the drop
 field), :class:`WeightedDrop` (arbitrary non-negative weights), and
@@ -37,10 +36,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro import obs
 from repro.core.batch import BatchedVPConfig, BatchedVPSolver
+from repro.core.kernel import FactoredPlanes, pillar_gain, run_outer_loop, seed_v0
 from repro.core.planes import PlaneFactorCache, ReducedPlaneSystem
-from repro.core.vp import VPResult, resolve_vda_policy
+from repro.core.vp import VPResult
 from repro.errors import ConvergenceError, GridError, ReproError
 from repro.grid.stack3d import PowerGridStack
 from repro.scenarios.spec import Scenario
@@ -266,12 +265,11 @@ class AdjointVPSolver:
     """VP iteration in reverse: solve ``G^T lam = g`` on cached factors.
 
     The adjoint grid is the forward grid with the pin rail grounded and
-    the metric gradient injected as node currents, so the solver mirrors
+    the metric gradient injected as node currents, so the solver runs
     the forward outer loop -- CVN, TSV accumulation, propagation, VDA --
-    with two differences: the intra-plane phase back-substitutes on the
-    *transposed* plane factors
-    (:meth:`~repro.core.planes.ReducedPlaneSystem.solve_free_transpose`),
-    and the propagated pin values are driven to zero.
+    with its two plug points set differently: the plane operator
+    back-substitutes on the *transposed* plane factors (``trans="T"``),
+    and the pin target is 0 V.
 
     ``plane_scale`` (per-tier ``alpha``) and ``r_seg`` overrides let a
     *design point* (metal-width/TSV multipliers, operating corners)
@@ -301,7 +299,6 @@ class AdjointVPSolver:
             )
         self.planes = planes
         self.pillar_flat = planes.pillar_flat
-        self.has_pin = stack.pillars.has_pin
 
         alpha = (
             np.ones(self.n_tiers)
@@ -324,106 +321,45 @@ class AdjointVPSolver:
                 f"r_seg table has shape {r_table.shape}, expected "
                 f"{stack.pillars.r_seg.shape}"
             )
-        self.r_seg = r_table
 
         # Stability bound / damping: identical physics to the forward
         # solver (the adjoint operator is the transpose of the same G).
-        n_pillars = self.pillar_flat.size
         degree = stack.tiers[0].degree_conductance().ravel()[self.pillar_flat]
-        degree = degree * alpha[0]
-        gain_bound = np.ones(n_pillars)
-        for l in range(self.n_tiers):
-            gain_bound *= 1.0 + self.r_seg[l] * degree
-        self.pillar_gain_bound = gain_bound
-        peak = max(gain_bound.max(), 1.0) if n_pillars else 1.0
-        self.auto_eta = float(min(0.5, 1.0 / peak))
-
-        if not np.all(self.has_pin):
-            series = (
-                self.r_seg[:-1].sum(axis=0)
-                if self.n_tiers > 1
-                else np.zeros(n_pillars)
-            )
-            self._r_unit = series + 1.0 / np.maximum(degree, 1e-12)
-        else:
-            self._r_unit = None
+        self.pillars = pillar_gain(
+            (degree * alpha[0])[:, None], r_table[:, :, None], stack.pillars.has_pin
+        )
 
     # ------------------------------------------------------------------
     def solve(self, injection: np.ndarray) -> AdjointResult:
         """Solve ``G^T lam = injection`` (``injection`` is ``df/dv`` as a
-        ``(T, R, C)`` or ``(T, n)`` array)."""
-        config = self.config
+        ``(T, R, C)`` or ``(T, n)`` array): the shared kernel
+        (:func:`repro.core.kernel.run_outer_loop`) as a 1-column batch on
+        the transposed factors, driven to a 0 V pin target."""
         n = self.rows * self.cols
         inj = np.asarray(injection, dtype=float).reshape(self.n_tiers, n)
-        b_free = [inj[l][self.planes.free] for l in range(self.n_tiers)]
-        b_pillar = [inj[l][self.pillar_flat] for l in range(self.n_tiers)]
-
-        n_pillars = self.pillar_flat.size
-        lam0 = np.zeros(n_pillars)
-        policy = resolve_vda_policy(config.vda, config.eta, self.auto_eta)
-        policy.reset(n_pillars)
-
-        fields = np.zeros((self.n_tiers, n))
-        converged = False
-        max_f = np.inf
-        outer = 0
-        tr = obs.tracer()
-        residual_series = obs.active_series("adjoint.residual")
-        t_start = time.perf_counter()
-        for outer in range(1, config.max_outer + 1):
-            pillar_lam = lam0.copy()
-            cumulative = np.zeros(n_pillars)
-            for l in range(self.n_tiers):
-                scale = self.plane_scale[l] if self._has_scale else None
-                x = self.planes.solve_free_transpose(
-                    l, pillar_lam, b_free=b_free[l], scale=scale
-                )
-                fields[l] = self.planes.assemble(x, pillar_lam)
-                # Pillar rows of G^T == pillar rows of G (symmetric
-                # Laplacian), so the forward drawn-current kernel applies.
-                drawn = self.planes.drawn_currents(
-                    l, fields[l], b_pillar=b_pillar[l], scale=scale
-                )
-                cumulative += drawn
-                pillar_lam = pillar_lam + cumulative * self.r_seg[l]
-
-            # The adjoint pin rail is grounded: drive the propagated
-            # adjoint pin values to zero (leftover current at un-pinned
-            # pillars, as in the forward residual).
-            if self._r_unit is None:
-                residual = -pillar_lam
-            else:
-                residual = np.where(
-                    self.has_pin, -pillar_lam, -cumulative * self._r_unit
-                )
-            max_f = float(np.max(np.abs(residual))) if n_pillars else 0.0
-            if residual_series is not None:
-                residual_series.append(outer, max_f)
-            if max_f <= config.outer_tol:
-                converged = True
-                break
-            lam0 = policy.update(lam0, residual)
-
-        obs.add("adjoint.outer_iterations", outer)
-        if tr.enabled:
-            tr.add_complete(
-                "adjoint.solve", t_start, time.perf_counter() - t_start,
-                outer_iterations=outer, converged=converged,
-            )
-        result = AdjointResult(
-            lam=fields.reshape(self.n_tiers, self.rows, self.cols),
-            converged=converged,
-            outer_iterations=outer,
-            max_vdiff=max_f,
+        op = FactoredPlanes(
+            self.planes,
+            [inj[l][self.planes.free][:, None] for l in range(self.n_tiers)],
+            [inj[l][self.pillar_flat][:, None] for l in range(self.n_tiers)],
+            scale=self.plane_scale[:, None] if self._has_scale else None,
+            trans="T",
         )
-        if config.raise_on_divergence and not converged:
-            raise ConvergenceError(
-                f"adjoint VP did not converge in {config.max_outer} outer "
-                f"iterations (max residual {max_f:.3e})",
-                outer,
-                max_f,
-            )
-        return result
+        # The adjoint pin rail is grounded: the propagated adjoint pin
+        # values are driven to zero, from a zero seed.
+        loop = run_outer_loop(
+            op,
+            self.pillars,
+            seed_v0(None, self.pillars, 0.0),
+            self.config,
+            target=0.0,
+            engine="adjoint",
+        )
+        return AdjointResult(
+            lam=loop.voltages[..., 0].reshape(self.n_tiers, self.rows, self.cols),
+            converged=bool(loop.converged[0]),
+            outer_iterations=loop.outer_iterations,
+            max_vdiff=float(loop.max_vdiff[0]),
+        )
 
 
 # ----------------------------------------------------------------------

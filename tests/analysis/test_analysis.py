@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 import pytest
 
@@ -14,7 +12,6 @@ from repro.analysis.irdrop import (
     ir_drop_report,
 )
 from repro.analysis.memory import MemoryMeter, nbytes_of
-from repro.analysis.runtime import Timer
 from repro.errors import ReproError
 
 
@@ -134,8 +131,3 @@ class TestMeters:
         assert nbytes_of(sparse) == expected_sparse
         assert nbytes_of([dense, {"a": sparse}]) == dense.nbytes + expected_sparse
         assert nbytes_of("not an array") == 0
-
-    def test_timer(self):
-        with Timer() as timer:
-            time.sleep(0.01)
-        assert 0.005 < timer.seconds < 1.0

@@ -17,7 +17,9 @@ grid ``side``.
 
 from __future__ import annotations
 
+import gc
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -44,6 +46,19 @@ class TestConstruction:
         cache.get(synthesize_stack(8, 8, 2, rng=0))
         cache.get(synthesize_stack(8, 8, 2, rng=7))  # loads differ only
         assert (cache.hits, cache.misses, cache.factorizations) == (1, 1, 1)
+
+    def test_cached_entry_does_not_keep_its_stack_alive(self):
+        """A cached system holds only what ``memory_bytes`` counts: the
+        stack it was built from (tier and pillar arrays outside the
+        byte budget) must be collectable once its caller drops it."""
+        cache = PlaneFactorCache()
+        stack = stack_for(8).copy()
+        cache.get(stack)
+        ref = weakref.ref(stack)
+        del stack
+        gc.collect()
+        assert ref() is None
+        assert len(cache) == 1
 
 
 class TestPinnedOverflow:

@@ -139,11 +139,3 @@ class TestStopwatch:
         (event,) = tel.tracer.events
         assert event.name == "loud"
         assert event.attrs == {"kind": "test"}
-
-    def test_timer_shim_still_works(self):
-        from repro.analysis.runtime import Timer
-
-        with Timer() as t:
-            pass
-        assert t.seconds >= 0.0
-        assert isinstance(t, Stopwatch)
