@@ -3,7 +3,7 @@
 The baseline for an N-candidate what-if sweep is the loop a user would
 otherwise write: apply each edit to the stack and build + solve a fresh
 batched solver, paying matrix assembly, plane factorization, and solver
-setup per candidate.  The incremental engine pins the base plane
+setup per candidate.  The incremental engine leases the base plane
 factors once and folds every candidate's perturbation in as a
 Sherman-Morrison-Woodbury correction riding the cached
 back-substitutions.
@@ -67,7 +67,7 @@ def test_eco_incremental_speedup(circuit_cache, bench_once, benchmark):
     assert report.eval_factorizations == 0, (
         f"{report.eval_factorizations} plane factorizations during "
         "incremental evaluation (contract: zero -- everything rides the "
-        "pinned base factors)"
+        "leased base factors)"
     )
     assert report.max_parity_rel_error <= PARITY_TOL, (
         f"worst-drop parity {report.max_parity_rel_error:.3e} vs direct "

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import scipy.sparse as sp
@@ -430,7 +431,7 @@ class PlaneFactorCache:
     published as the ``cache.factor_bytes`` gauge.
 
     **Concurrency.**  The cache is thread-safe: lookup, insertion,
-    eviction, and pin bookkeeping run under one lock, and factorization
+    eviction, and lease bookkeeping run under one lock, and factorization
     is *single-flight* -- when N threads miss on the same signature at
     once, exactly one builds the system (outside the lock, so unrelated
     geometries factorize in parallel) while the others block on a
@@ -439,13 +440,15 @@ class PlaneFactorCache:
     service promote one cache to a cross-request shared resource: N
     concurrent requests for a popular grid pay exactly one LU.
 
-    **Capacity.**  ``max_entries`` bounds the entry count and the
-    optional ``max_bytes`` bounds the resident factor footprint; LRU
-    eviction skips pinned entries.  When every evictable candidate is
-    pinned the cache *does* exceed its bounds (callers need their
-    systems regardless) but counts the event in ``pinned_overflow``
-    instead of growing silently, and :meth:`unpin` re-runs the deferred
-    eviction so an over-capacity cache shrinks as soon as pins release.
+    **Leases and capacity.**  ``max_entries`` bounds the entry count and
+    the optional ``max_bytes`` the resident factor footprint.  A caller
+    holds an entry with ``with cache.lease(stack) as planes:``; holds are
+    counted per entry and LRU eviction skips held entries, so
+    ``factor_bytes`` counts every system in use.  When every eviction
+    candidate is leased the cache *does* exceed its bounds (holders need
+    their systems regardless) but counts the event in
+    ``pinned_overflow`` instead of growing silently; the last release on
+    an entry runs the deferred eviction.
 
     Cached systems are built with ``pillar_rows=True`` (the batched
     engine needs the pillar rows).  NOTE: a cached system's *base*
@@ -467,7 +470,8 @@ class PlaneFactorCache:
         #: Footprint recorded at insert time -- eviction bookkeeping must
         #: subtract exactly what was added, even under concurrent churn.
         self._entry_bytes: dict[bytes, int] = {}
-        self._pinned: set[bytes] = set()
+        #: Live holds per key (see :meth:`lease`); held keys never evict.
+        self._leases: dict[bytes, int] = {}
         #: In-flight factorizations: key -> event the builder sets once
         #: the entry is resident (or the build failed).
         self._building: dict[bytes, threading.Event] = {}
@@ -501,7 +505,7 @@ class PlaneFactorCache:
     @property
     def pinned_overflow(self) -> int:
         """Times the cache went (or stayed) over capacity because every
-        eviction candidate was pinned."""
+        eviction candidate was leased."""
         return self._pinned_overflow.value
 
     @property
@@ -515,22 +519,32 @@ class PlaneFactorCache:
         """Bytes held by currently resident cached systems."""
         return self._factor_bytes
 
-    def get(
-        self, stack: PowerGridStack, *, pin: bool = False
-    ) -> ReducedPlaneSystem:
+    def get(self, stack: PowerGridStack) -> ReducedPlaneSystem:
         """Return the shared plane system for ``stack``'s geometry,
         factorizing (and counting) only on a signature miss.
 
         Thread-safe and single-flight: concurrent misses on one
         signature factorize once; the waiters count as hits (plus a
-        ``single_flight_waits`` tally).
-
-        ``pin`` exempts the entry from LRU eviction -- callers that hold
-        a long-lived handle (the Monte Carlo driver's baseline) pin it so
-        a churn of one-off geometries cannot push it out between their
-        explicit ``get`` calls.
+        ``single_flight_waits`` tally).  Holds nothing (see :meth:`lease`).
         """
+        return self._lookup(stack_plane_signature(stack), stack, hold=False)
+
+    @contextmanager
+    def lease(self, stack: PowerGridStack):
+        """``with cache.lease(stack) as planes:`` -- :meth:`get`, then
+        hold the entry until the block exits, exceptions included.  Each
+        holder counts: a held entry is never evicted, and the last
+        release runs any eviction the holds deferred."""
         key = stack_plane_signature(stack)
+        system = self._lookup(key, stack, hold=True)
+        try:
+            yield system
+        finally:
+            self._release(key)
+
+    def _lookup(
+        self, key: bytes, stack: PowerGridStack, hold: bool
+    ) -> ReducedPlaneSystem:
         while True:
             with self._lock:
                 system = self._entries.pop(key, None)
@@ -538,8 +552,8 @@ class PlaneFactorCache:
                     self._hits.add()
                     obs.add("cache.hits")
                     self._entries[key] = system  # refresh LRU position
-                    if pin:
-                        self._pinned.add(key)
+                    if hold:
+                        self._leases[key] = self._leases.get(key, 0) + 1
                     return system
                 in_flight = self._building.get(key)
                 if in_flight is None:
@@ -569,8 +583,8 @@ class PlaneFactorCache:
             self._entries[key] = system
             self._entry_bytes[key] = nbytes
             self._factor_bytes += nbytes
-            if pin:
-                self._pinned.add(key)
+            if hold:
+                self._leases[key] = self._leases.get(key, 0) + 1
             self._evict_over_capacity(protect=key)
             obs.set_gauge("cache.factor_bytes", self._factor_bytes)
             self._building.pop(key).set()
@@ -583,22 +597,22 @@ class PlaneFactorCache:
         )
 
     def _evict_over_capacity(self, protect: bytes | None = None) -> None:
-        """LRU-evict unpinned entries until within bounds (caller holds
+        """LRU-evict unleased entries until within bounds (caller holds
         the lock).  ``protect`` shields the entry being inserted.  When
         no candidate remains the overflow is counted, not hidden -- the
-        deferred eviction happens on the next :meth:`unpin`."""
+        deferred eviction happens when a last lease is released."""
         while self._over_capacity():
             victim = next(
                 (
                     k
                     for k in self._entries
-                    if k not in self._pinned and k != protect
+                    if k not in self._leases and k != protect
                 ),
                 None,
             )
             if victim is None:
-                # Every evictable entry is pinned: one-off geometries
-                # (fresh wire-field draws) churning a fully-pinned cache
+                # Every evictable entry is leased: one-off geometries
+                # (fresh wire-field draws) churning a fully-held cache
                 # used to grow it silently past max_entries.
                 self._pinned_overflow.add()
                 obs.add("cache.pinned_overflow")
@@ -608,23 +622,13 @@ class PlaneFactorCache:
             self._evictions.add()
             obs.add("cache.evictions")
 
-    def unpin(self, stack: PowerGridStack) -> bool:
-        """Release a pin taken by ``get(stack, pin=True)``.
-
-        The entry stays cached but becomes LRU-evictable again -- how a
-        long-lived holder (an :class:`repro.eco.EcoSession` closing, a
-        finished Monte Carlo run) hands its baseline factors back to the
-        pool.  An over-capacity cache (see ``pinned_overflow``) performs
-        its deferred eviction here, so releasing the last pin shrinks it
-        immediately rather than waiting for the next miss.  Returns
-        whether the geometry was actually pinned.
-        """
-        key = stack_plane_signature(stack)
+    def _release(self, key: bytes) -> None:
+        """Drop one hold on ``key``; the last one makes the entry
+        evictable again and runs the eviction it deferred."""
         with self._lock:
-            if key not in self._pinned:
-                return False
-            self._pinned.discard(key)
-            if self._over_capacity():
+            holds = self._leases.pop(key) - 1
+            if holds:
+                self._leases[key] = holds
+            elif self._over_capacity():
                 self._evict_over_capacity()
                 obs.set_gauge("cache.factor_bytes", self._factor_bytes)
-            return True

@@ -224,8 +224,8 @@ class _ScenarioGroup:
                 for s in originals
             ]
         )
-        dc_planes = cache.get(dc_stack, pin=True)
-        comp_planes = cache.get(comp_stack, pin=True)
+        dc_planes = cache.get(dc_stack)
+        comp_planes = cache.get(comp_stack)
         self.dc_solver = BatchedVPSolver(
             dc_stack, stripped, vp_config, planes=dc_planes
         )
@@ -372,8 +372,8 @@ class BatchedTransientSolver:
     factor_cache:
         Optional shared :class:`~repro.core.planes.PlaneFactorCache`;
         pass one to reuse factors across engines (e.g. several step
-        sizes over the same grid).  Entries this engine touches are
-        pinned.
+        sizes over the same grid).  The engine leases nothing: it keeps
+        its systems by reference.
     """
 
     def __init__(

@@ -2,7 +2,7 @@
 
 Evaluating ``C`` edit candidates under ``S`` operating scenarios is one
 ``C x S``-column batched VP solve where **no column ever factorizes**:
-every column back-substitutes against the session's pinned base plane
+every column back-substitutes against the session's leased base plane
 factors, and columns whose candidate perturbs a plane matrix get a
 Sherman-Morrison-Woodbury correction per tier solve:
 
@@ -144,9 +144,9 @@ class EcoBatchSolver:
     Parameters
     ----------
     stack:
-        The *base* (unedited) stack the session pinned factors for.
+        The *base* (unedited) stack the session leased factors for.
     planes:
-        The pinned base :class:`ReducedPlaneSystem` (factorized, pillar
+        The leased base :class:`ReducedPlaneSystem` (factorized, pillar
         rows).  Never re-factorized here -- that is the contract.
     scenarios:
         Operating scenarios each candidate is evaluated under.  Must not

@@ -1,11 +1,11 @@
-"""ECO sessions: pinned base factors, batched candidate ranking, verification.
+"""ECO sessions: leased base factors, batched candidate ranking, verification.
 
 An :class:`EcoSession` is the user-facing handle of the incremental
 re-analysis flow.  Opening one factorizes (or cache-hits) the base
-stack's plane system exactly once and *pins* it in the
-:class:`~repro.core.planes.PlaneFactorCache`; every subsequent
-:meth:`evaluate` / :meth:`rank_candidates` call compiles its candidates
-to low-rank updates and runs one batched
+stack's plane system exactly once and *leases* it from the
+:class:`~repro.core.planes.PlaneFactorCache` until :meth:`close`; every
+subsequent :meth:`evaluate` / :meth:`rank_candidates` call compiles its
+candidates to low-rank updates and runs one batched
 :class:`~repro.eco.engine.EcoBatchSolver` sweep -- zero new
 factorizations, counter-asserted by callers via the
 ``planes.factorizations`` / ``cache.factorizations`` deltas.
@@ -20,6 +20,7 @@ counters around it and verify afterwards.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,13 +220,13 @@ class EcoReport:
 
 
 class EcoSession:
-    """Incremental re-analysis session over one pinned base stack.
+    """Incremental re-analysis session over one leased base stack.
 
     Parameters
     ----------
     stack:
         The signed-off base grid.  Its plane factors are computed (or
-        cache-hit) once and pinned for the session's lifetime.
+        cache-hit) once and leased until :meth:`close`.
     scenarios:
         Operating scenarios every candidate is evaluated under; defaults
         to the single :meth:`~repro.scenarios.spec.Scenario.nominal`
@@ -259,7 +260,10 @@ class EcoSession:
                 "apply the scaling to the base stack instead"
             )
         self.cache = cache if cache is not None else PlaneFactorCache()
-        self.planes: ReducedPlaneSystem = self.cache.get(stack, pin=True)
+        self._hold = ExitStack()
+        self.planes: ReducedPlaneSystem = self._hold.enter_context(
+            self.cache.lease(stack)
+        )
         self._closed = False
         self._baseline: np.ndarray | None = None
 
@@ -270,7 +274,7 @@ class EcoSession:
 
     def baseline_drops(self) -> np.ndarray:
         """``(S,)`` worst IR drops of the *unedited* stack (computed once
-        on the pinned factors, cached)."""
+        on the leased factors, cached)."""
         self._check_open()
         if self._baseline is None:
             solver = BatchedVPSolver(
@@ -305,7 +309,7 @@ class EcoSession:
         """Solve every candidate under every scenario incrementally.
 
         One batched SMW sweep over ``len(candidates) * S`` columns
-        against the pinned base factors -- no factorization happens in
+        against the leased base factors -- no factorization happens in
         here, which callers can counter-assert via the
         ``planes.factorizations`` obs delta across the call.
         """
@@ -447,11 +451,10 @@ class EcoSession:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Release the session's pin on the base factors (the entry stays
-        cached, LRU-evictable)."""
-        if not self._closed:
-            self.cache.unpin(self.stack)
-            self._closed = True
+        """Release the session's lease on the base factors (the entry
+        stays cached, LRU-evictable once no other holder keeps it)."""
+        self._closed = True
+        self._hold.close()
 
     def __enter__(self) -> "EcoSession":
         return self

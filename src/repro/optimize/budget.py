@@ -301,78 +301,79 @@ def allocate_wire_width(
         else ScenarioSet.ensure(scenarios)
     )
 
-    cache = cache or PlaneFactorCache()
-    planes = cache.get(stack, pin=True)
-    # Baseline priming above is the only factorization an allocation run
-    # may perform; everything after this snapshot must be reuse.
-    factorizations0 = cache.factorizations
-    evaluator = _WidthEvaluator(stack, scenario_set, planes, config)
+    if cache is None:
+        cache = PlaneFactorCache()
+    with cache.lease(stack) as planes:
+        # The baseline lookup is the only factorization an allocation
+        # run may perform; everything after this snapshot must be reuse.
+        factorizations0 = cache.factorizations
+        evaluator = _WidthEvaluator(stack, scenario_set, planes, config)
 
-    widths = project_to_budget(np.ones(n_tiers), area, budget, lo, hi)
-    widths_initial = widths.copy()
-    objective, true_drop, corner, result = evaluator.forward(widths)
-    objective_initial, drop_initial = objective, true_drop
-    # The descent runs on the smooth objective, whose gap to the true
-    # max is up to log(N)/beta -- a smooth-accepted step can nudge the
-    # true worst drop the wrong way.  Track and return the iterate with
-    # the best *true* drop, so the reported before/after never regresses.
-    best = (widths.copy(), true_drop, objective, corner)
+        widths = project_to_budget(np.ones(n_tiers), area, budget, lo, hi)
+        widths_initial = widths.copy()
+        objective, true_drop, corner, result = evaluator.forward(widths)
+        objective_initial, drop_initial = objective, true_drop
+        # The descent runs on the smooth objective, whose gap to the true
+        # max is up to log(N)/beta -- a smooth-accepted step can nudge the
+        # true worst drop the wrong way.  Track and return the iterate with
+        # the best *true* drop, so the reported before/after never regresses.
+        best = (widths.copy(), true_drop, objective, corner)
 
-    history: list[dict] = [
-        {
-            "iteration": 0,
-            "objective_v": objective,
-            "worst_drop_v": true_drop,
-            "widths": widths.tolist(),
-            "binding_scenario": scenario_set.names[corner],
-        }
-    ]
-    converged = False
-    step = config.step
-    iteration = 0
-    for iteration in range(1, config.max_iterations + 1):
-        grad = evaluator.gradient(widths, corner, result)
-        norm = float(np.max(np.abs(grad)))
-        if norm == 0.0:
-            converged = True
-            break
-        direction = grad / norm
-
-        accepted = False
-        for _ in range(config.max_backtracks):
-            trial = project_to_budget(
-                widths - step * direction, area, budget, lo, hi
-            )
-            if np.allclose(trial, widths):
+        history: list[dict] = [
+            {
+                "iteration": 0,
+                "objective_v": objective,
+                "worst_drop_v": true_drop,
+                "widths": widths.tolist(),
+                "binding_scenario": scenario_set.names[corner],
+            }
+        ]
+        converged = False
+        step = config.step
+        iteration = 0
+        for iteration in range(1, config.max_iterations + 1):
+            grad = evaluator.gradient(widths, corner, result)
+            norm = float(np.max(np.abs(grad)))
+            if norm == 0.0:
+                converged = True
                 break
-            t_obj, t_drop, t_corner, t_result = evaluator.forward(trial)
-            if t_obj < objective:
-                improvement = objective - t_obj
-                widths, objective, true_drop = trial, t_obj, t_drop
-                corner, result = t_corner, t_result
-                if true_drop < best[1]:
-                    best = (widths.copy(), true_drop, objective, corner)
-                accepted = True
-                history.append(
-                    {
-                        "iteration": iteration,
-                        "objective_v": objective,
-                        "worst_drop_v": true_drop,
-                        "widths": widths.tolist(),
-                        "step": step,
-                        "binding_scenario": scenario_set.names[corner],
-                    }
+            direction = grad / norm
+
+            accepted = False
+            for _ in range(config.max_backtracks):
+                trial = project_to_budget(
+                    widths - step * direction, area, budget, lo, hi
                 )
-                # Gentle step growth: accepted steps earn back what
-                # backtracking took, without a second solve per try.
-                step = min(step / config.shrink, config.step)
-                if improvement < config.tol:
-                    converged = True
+                if np.allclose(trial, widths):
+                    break
+                t_obj, t_drop, t_corner, t_result = evaluator.forward(trial)
+                if t_obj < objective:
+                    improvement = objective - t_obj
+                    widths, objective, true_drop = trial, t_obj, t_drop
+                    corner, result = t_corner, t_result
+                    if true_drop < best[1]:
+                        best = (widths.copy(), true_drop, objective, corner)
+                    accepted = True
+                    history.append(
+                        {
+                            "iteration": iteration,
+                            "objective_v": objective,
+                            "worst_drop_v": true_drop,
+                            "widths": widths.tolist(),
+                            "step": step,
+                            "binding_scenario": scenario_set.names[corner],
+                        }
+                    )
+                    # Gentle step growth: accepted steps earn back what
+                    # backtracking took, without a second solve per try.
+                    step = min(step / config.shrink, config.step)
+                    if improvement < config.tol:
+                        converged = True
+                    break
+                step *= config.shrink
+            if not accepted or converged:
+                converged = True
                 break
-            step *= config.shrink
-        if not accepted or converged:
-            converged = True
-            break
 
     best_widths, best_drop, best_objective, best_corner = best
     # Smooth-accepted steps taken after the best true-drop iterate would

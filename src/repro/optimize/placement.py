@@ -25,7 +25,7 @@ reads ``has_pin``), so every candidate evaluation is a cache-hit solve
 -- the whole refinement performs zero new factorizations.  The inner
 loop runs through an :class:`~repro.eco.EcoSession`: each trial pin set
 is a rank-0 :class:`~repro.eco.PinMaskEdit` candidate against the one
-pinned base, and a greedy round evaluates *all* its swap proposals in a
+leased base, and a greedy round evaluates *all* its swap proposals in a
 single batched sweep instead of one solve per proposal.
 """
 
@@ -158,7 +158,8 @@ def refine_pin_placement(
         if scenarios is None
         else ScenarioSet.ensure(scenarios)
     )
-    cache = cache or PlaneFactorCache()
+    if cache is None:
+        cache = PlaneFactorCache()
     session = EcoSession(
         stack,
         scenarios=scenario_set,

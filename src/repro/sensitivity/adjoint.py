@@ -32,6 +32,7 @@ field), :class:`WeightedDrop` (arbitrary non-negative weights), and
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -467,9 +468,9 @@ def adjoint_gradient(
         Optional operating corner overlaid on the design point (load
         scaling, TSV process, metal-width corner).
     cache:
-        Factor cache shared with other runs; created (and primed with
-        the base geometry) when omitted.  Factor-reusable design points
-        perform **zero** factorizations beyond the cached baseline --
+        Factor cache shared with other runs, leased for the call;
+        created when omitted.  Factor-reusable design points perform
+        **zero** factorizations beyond the cached baseline --
         ``GradientResult.new_factorizations`` reports the delta.
     forward:
         A converged :class:`~repro.core.vp.VPResult` for the *base*
@@ -480,55 +481,57 @@ def adjoint_gradient(
     t_start = time.perf_counter()
     stack = params.stack
     x = params.check(values)
-    cache = cache or PlaneFactorCache()
+    if cache is None:
+        cache = PlaneFactorCache()
     hits0 = cache.hits
-    planes = cache.get(stack, pin=True)
-    factorizations0 = cache.factorizations
+    with ExitStack() as holds:
+        planes = holds.enter_context(cache.lease(stack))
+        factorizations0 = cache.factorizations
 
-    sign = net_sign(stack.net)
-    at_base = bool(np.all(x == 1.0)) and scenario is None
+        sign = net_sign(stack.net)
+        at_base = bool(np.all(x == 1.0)) and scenario is None
 
-    if params.factor_reusable(x):
-        rhs_stack, scen_alpha = scenario_rhs_overlay(
-            params.apply_rhs(x), scenario
-        )
-        alpha = params.plane_scales(x) * scen_alpha
-        design_planes = planes
-    else:
-        # Non-uniform plane perturbations (edge/pad blocks off their
-        # defaults) need their own factorization -- counted, and
-        # deduplicated across repeated calls at the same design point.
-        rhs_stack = params.apply(x)
-        if scenario is not None:
-            rhs_stack = scenario.apply(rhs_stack)
-        alpha = np.ones(stack.n_tiers)
-        design_planes = cache.get(rhs_stack)
-
-    if forward is not None and at_base:
-        voltages = forward.voltages
-        forward_outer = forward.outer_iterations
-    else:
-        voltages, ok, forward_outer = _forward_design_solve(
-            rhs_stack, alpha, design_planes, config
-        )
-        if not ok:
-            raise ConvergenceError(
-                "forward solve of the design point did not converge",
-                forward_outer,
-                float("nan"),
+        if params.factor_reusable(x):
+            rhs_stack, scen_alpha = scenario_rhs_overlay(
+                params.apply_rhs(x), scenario
             )
+            alpha = params.plane_scales(x) * scen_alpha
+            design_planes = planes
+        else:
+            # Non-uniform plane perturbations (edge/pad blocks off their
+            # defaults) need their own factorization -- counted, and
+            # deduplicated across repeated calls at the same design point.
+            rhs_stack = params.apply(x)
+            if scenario is not None:
+                rhs_stack = scenario.apply(rhs_stack)
+            alpha = np.ones(stack.n_tiers)
+            design_planes = holds.enter_context(cache.lease(rhs_stack))
 
-    v_pin = stack.v_pin
-    m_value = metric.value(voltages, v_pin, sign)
-    injection = metric.dv(voltages, v_pin, sign)
+        if forward is not None and at_base:
+            voltages = forward.voltages
+            forward_outer = forward.outer_iterations
+        else:
+            voltages, ok, forward_outer = _forward_design_solve(
+                rhs_stack, alpha, design_planes, config
+            )
+            if not ok:
+                raise ConvergenceError(
+                    "forward solve of the design point did not converge",
+                    forward_outer,
+                    float("nan"),
+                )
 
-    adjoint = AdjointVPSolver(
-        rhs_stack,
-        design_planes,
-        plane_scale=alpha,
-        r_seg=rhs_stack.pillars.r_seg,
-        config=config.adjoint_config(),
-    ).solve(injection)
+        v_pin = stack.v_pin
+        m_value = metric.value(voltages, v_pin, sign)
+        injection = metric.dv(voltages, v_pin, sign)
+
+        adjoint = AdjointVPSolver(
+            rhs_stack,
+            design_planes,
+            plane_scale=alpha,
+            r_seg=rhs_stack.pillars.r_seg,
+            config=config.adjoint_config(),
+        ).solve(injection)
 
     gradient = params.gradient(
         rhs_stack,

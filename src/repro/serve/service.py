@@ -173,10 +173,6 @@ class GridAnalysisService:
         )
         self._grids: dict[str, object] = {}
         self._grids_lock = threading.Lock()
-        # Signatures whose factors some earlier request already built:
-        # a later job finding its signature here is a *cross-request*
-        # cache hit -- the quantity the whole service exists to create.
-        self._factored: set[bytes] = set()
         self._executor: ThreadPoolExecutor | None = None
         self._dispatcher: threading.Thread | None = None
         self._stop = threading.Event()
@@ -378,6 +374,11 @@ class GridAnalysisService:
             error = f"{type(exc).__name__}: {exc}"
         finally:
             dt = time.perf_counter() - t0
+            # Each job looks each geometry up once, so every cache hit in
+            # this batch reuses factors an earlier request built.
+            hits = tel.registry.counters.get("cache.hits")
+            if hits is not None:
+                tel.registry.add("serve.cache_cross_request_hits", hits.value)
             # The shared batch work plus one fan-out span per rider, so a
             # coalesced job's trace shows both "my batch" and "my share".
             for job in batch:
@@ -442,16 +443,6 @@ class GridAnalysisService:
         trace = self.flight.chrome_trace(metrics={"job": job.describe()})
         return trace
 
-    def _note_cache_use(self, stack) -> None:
-        """Count cross-request factor reuse (the service's raison
-        d'etre) before touching the cache for a job."""
-        signature = stack_plane_signature(stack)
-        with self._grids_lock:
-            seen = signature in self._factored
-            self._factored.add(signature)
-        if seen:
-            obs.add("serve.cache_cross_request_hits")
-
     def _run_sweep_batch(self, batch: list[Job]) -> list[tuple[Job, dict]]:
         grid = batch[0].grid
         stack = self._stack(grid)
@@ -475,11 +466,9 @@ class GridAnalysisService:
             obs.add("serve.coalesced_batches")
             obs.add("serve.coalesced_columns", len(merged))
 
-        self._note_cache_use(stack)
         with obs.span(
             "serve.solve", grid=grid, jobs=len(batch), columns=len(merged)
-        ):
-            planes = self.cache.get(stack)
+        ), self.cache.lease(stack) as planes:
             solver = BatchedVPSolver(
                 stack, ScenarioSet(merged), config, planes=planes
             )
@@ -522,7 +511,6 @@ class GridAnalysisService:
             "eco": self._run_eco,
         }[job.kind]
         stack = self._stack(job.grid)
-        self._note_cache_use(stack)
         with obs.span("serve.solve", grid=job.grid, kind=job.kind, jobs=1):
             result = runner(job, stack)
         job.batch_jobs = 1
@@ -572,20 +560,14 @@ class GridAnalysisService:
             )
         from repro.stochastic import run_monte_carlo
 
-        try:
-            result = run_monte_carlo(
-                stack,
-                spec,
-                int(p.get("samples", 16)),
-                seed=int(p.get("seed", 0)),
-                config=MonteCarloConfig(**config_kwargs),
-                cache=self.cache,
-            )
-        finally:
-            # The MC driver pins the baseline factors and leaves them
-            # pinned; the service hands them back to the LRU pool so one
-            # grid's population study cannot wedge the shared cache.
-            self.cache.unpin(stack)
+        result = run_monte_carlo(
+            stack,
+            spec,
+            int(p.get("samples", 16)),
+            seed=int(p.get("seed", 0)),
+            config=MonteCarloConfig(**config_kwargs),
+            cache=self.cache,
+        )
         return {
             "kind": "mc",
             "grid": job.grid,
@@ -639,10 +621,7 @@ class GridAnalysisService:
             metric = SmoothWorstDrop(beta=float(p["beta"]))
         else:
             metric = SmoothWorstDrop()
-        try:
-            result = adjoint_gradient(space, metric, cache=self.cache)
-        finally:
-            self.cache.unpin(stack)
+        result = adjoint_gradient(space, metric, cache=self.cache)
         return {
             "kind": "sensitivity",
             "grid": job.grid,
@@ -667,51 +646,44 @@ class GridAnalysisService:
             else None
         )
         mode = p.get("mode", "budget")
-        try:
-            if mode == "budget":
-                from repro.optimize import BudgetConfig, allocate_wire_width
+        if mode == "budget":
+            from repro.optimize import BudgetConfig, allocate_wire_width
 
-                bounds = [float(b) for b in p.get("bounds", (0.5, 2.5))]
-                if len(bounds) != 2:
-                    raise ReproError("bounds expects [lo, hi]")
-                config = (
-                    BudgetConfig(max_iterations=int(p["iterations"]))
-                    if "iterations" in p
-                    else None
-                )
-                result = allocate_wire_width(
-                    stack,
-                    budget=p.get("area_budget"),
-                    bounds=(bounds[0], bounds[1]),
-                    scenarios=scenarios,
-                    config=config,
-                    cache=self.cache,
-                )
-            elif mode == "placement":
-                from repro.optimize import (
-                    PlacementConfig,
-                    refine_pin_placement,
-                )
+            bounds = [float(b) for b in p.get("bounds", (0.5, 2.5))]
+            if len(bounds) != 2:
+                raise ReproError("bounds expects [lo, hi]")
+            config = (
+                BudgetConfig(max_iterations=int(p["iterations"]))
+                if "iterations" in p
+                else None
+            )
+            result = allocate_wire_width(
+                stack,
+                budget=p.get("area_budget"),
+                bounds=(bounds[0], bounds[1]),
+                scenarios=scenarios,
+                config=config,
+                cache=self.cache,
+            )
+        elif mode == "placement":
+            from repro.optimize import PlacementConfig, refine_pin_placement
 
-                config = (
-                    PlacementConfig(max_rounds=int(p["iterations"]))
-                    if "iterations" in p
-                    else None
-                )
-                result = refine_pin_placement(
-                    stack,
-                    n_pins=p.get("pins"),
-                    scenarios=scenarios,
-                    config=config,
-                    cache=self.cache,
-                )
-            else:
-                raise ReproError(
-                    f"unknown optimize mode {mode!r}; use budget or "
-                    "placement"
-                )
-        finally:
-            self.cache.unpin(stack)
+            config = (
+                PlacementConfig(max_rounds=int(p["iterations"]))
+                if "iterations" in p
+                else None
+            )
+            result = refine_pin_placement(
+                stack,
+                n_pins=p.get("pins"),
+                scenarios=scenarios,
+                config=config,
+                cache=self.cache,
+            )
+        else:
+            raise ReproError(
+                f"unknown optimize mode {mode!r}; use budget or placement"
+            )
         return {"kind": "optimize", "grid": job.grid, "mode": mode,
                 **result.payload()}
 
@@ -731,8 +703,6 @@ class GridAnalysisService:
             if p.get("load_scales")
             else None
         )
-        # EcoSession pins the base factors for its lifetime and unpins
-        # them in close() -- the context manager is the unpin path here.
         with EcoSession(
             stack, scenarios=scenarios, cache=self.cache
         ) as session:

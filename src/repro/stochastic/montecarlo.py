@@ -179,71 +179,72 @@ def run_monte_carlo(
         cache = PlaneFactorCache()
     hits0, misses0 = cache.hits, cache.misses
     factorizations0 = cache.factorizations
-    # Prime (and pin) the shared-geometry entry: wire-field draws churn
-    # the cache tail, but the baseline must survive for the next batch
-    # and the next run sharing this cache.
-    baseline = cache.get(stack, pin=True)
-    stats = MonteCarloStats(
-        baseline_factorizations=cache.factorizations - factorizations0,
-    )
-    factorizations_after_baseline = cache.factorizations
-
-    n_tiers, rows, cols = stack.n_tiers, stack.rows, stack.cols
-    field_stats = RunningFieldStats((n_tiers, rows, cols))
-    worst = np.empty(n_samples)
-    converged = np.zeros(n_samples, dtype=bool)
-    outers = np.zeros(n_samples, dtype=int)
-    batched_config = config.batched_config()
-    stats.setup_seconds = time.perf_counter() - t_setup
-
-    t_solve = time.perf_counter()
-    tr = obs.tracer()
-    reg = obs.metrics()
-
-    def solve_group(
-        group_stack: PowerGridStack,
-        group: list[VariationDraw],
-        planes,
-    ) -> None:
-        scenarios = [draw.scenario() for draw in group]
-        t0 = time.perf_counter()
-        solver = BatchedVPSolver(
-            group_stack, scenarios, batched_config, planes=planes
+    # Lease the shared-geometry entry for the run: wire-field draws
+    # churn the cache tail, but the baseline must survive every batch.
+    with cache.lease(stack) as baseline:
+        stats = MonteCarloStats(
+            baseline_factorizations=cache.factorizations - factorizations0,
         )
-        result = solver.solve()
-        if tr.enabled:
-            tr.add_complete(
-                "mc.batch", t0, time.perf_counter() - t0, samples=len(group)
+        factorizations_after_baseline = cache.factorizations
+
+        n_tiers, rows, cols = stack.n_tiers, stack.rows, stack.cols
+        field_stats = RunningFieldStats((n_tiers, rows, cols))
+        worst = np.empty(n_samples)
+        converged = np.zeros(n_samples, dtype=bool)
+        outers = np.zeros(n_samples, dtype=int)
+        batched_config = config.batched_config()
+        stats.setup_seconds = time.perf_counter() - t_setup
+
+        t_solve = time.perf_counter()
+        tr = obs.tracer()
+        reg = obs.metrics()
+
+        def solve_group(
+            group_stack: PowerGridStack,
+            group: list[VariationDraw],
+            planes,
+        ) -> None:
+            scenarios = [draw.scenario() for draw in group]
+            t0 = time.perf_counter()
+            solver = BatchedVPSolver(
+                group_stack, scenarios, batched_config, planes=planes
             )
-        drops = _drop_fields(result.voltages, stack.v_pin)
-        field_stats.update_batch(drops)
-        flat_worst = drops.reshape(-1, len(group)).max(axis=0)
-        for j, draw in enumerate(group):
-            worst[draw.index] = flat_worst[j]
-            converged[draw.index] = bool(result.converged[j])
-            outers[draw.index] = int(result.outer_iterations[j])
-        stats.n_batches += 1
-        stats.column_solves += result.stats.column_solves
-        reg.add("mc.batches")
-        reg.add("mc.samples", len(group))
+            result = solver.solve()
+            if tr.enabled:
+                tr.add_complete(
+                    "mc.batch", t0, time.perf_counter() - t0, samples=len(group)
+                )
+            drops = _drop_fields(result.voltages, stack.v_pin)
+            field_stats.update_batch(drops)
+            flat_worst = drops.reshape(-1, len(group)).max(axis=0)
+            for j, draw in enumerate(group):
+                worst[draw.index] = flat_worst[j]
+                converged[draw.index] = bool(result.converged[j])
+                outers[draw.index] = int(result.outer_iterations[j])
+            stats.n_batches += 1
+            stats.column_solves += result.stats.column_solves
+            reg.add("mc.batches")
+            reg.add("mc.samples", len(group))
 
-    shared = [draw for draw in draws if draw.shares_baseline_planes]
-    unique = [draw for draw in draws if not draw.shares_baseline_planes]
+        shared = [draw for draw in draws if draw.shares_baseline_planes]
+        unique = [draw for draw in draws if not draw.shares_baseline_planes]
 
-    for start in range(0, len(shared), config.batch_size):
-        chunk = shared[start : start + config.batch_size]
-        solve_group(stack, chunk, baseline)
+        for start in range(0, len(shared), config.batch_size):
+            chunk = shared[start : start + config.batch_size]
+            solve_group(stack, chunk, baseline)
 
-    for draw in unique:
-        perturbed = draw.wire_stack(stack)
-        solve_group(perturbed, [draw], cache.get(perturbed))
+        for draw in unique:
+            perturbed = draw.wire_stack(stack)
+            with cache.lease(perturbed) as planes:
+                solve_group(perturbed, [draw], planes)
+            del planes  # free the draw's factors with the cache (peak RSS)
 
-    stats.solve_seconds = time.perf_counter() - t_solve
-    stats.refactorizations = (
-        cache.factorizations - factorizations_after_baseline
-    )
-    stats.cache_hits = cache.hits - hits0
-    stats.cache_misses = cache.misses - misses0
+        stats.solve_seconds = time.perf_counter() - t_solve
+        stats.refactorizations = (
+            cache.factorizations - factorizations_after_baseline
+        )
+        stats.cache_hits = cache.hits - hits0
+        stats.cache_misses = cache.misses - misses0
 
     if config.raise_on_divergence and not converged.all():
         stragglers = int(np.count_nonzero(~converged))

@@ -1,11 +1,13 @@
 """Regression + stress tests for the concurrency-safe PlaneFactorCache.
 
-Two bugfix contracts live here:
+Three bugfix contracts live here:
 
 * **Pinned overflow** -- a cache whose evictable candidates are all
-  pinned must exceed its bound *visibly* (``pinned_overflow`` counter)
-  instead of evicting a pinned baseline, and ``unpin`` must perform the
-  deferred eviction so the cache shrinks the moment pins release.
+  leased must exceed its bound *visibly* (``pinned_overflow`` counter)
+  instead of evicting a held baseline, and releasing the last lease must
+  perform the deferred eviction so the cache shrinks the moment holds end.
+* **Counted leases** -- every holder of an entry keeps it resident
+  until that holder releases; a held entry is never evicted.
 * **Single-flight factorization** -- N threads missing on the same
   signature pay exactly one LU; byte accounting stays exact under
   concurrent churn and the obs registry loses no counter updates.
@@ -18,7 +20,9 @@ grid ``side``.
 from __future__ import annotations
 
 import gc
+import sys
 import threading
+import time
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -63,63 +67,89 @@ class TestConstruction:
 
 class TestPinnedOverflow:
     def test_full_cache_of_pins_overflows_instead_of_evicting(self):
-        """max_entries=1 with a pinned baseline: the second insert must
+        """max_entries=1 with a leased baseline: the second insert must
         keep BOTH entries resident, evict nothing, and count the
-        overflow (the original bug evicted the pinned baseline)."""
+        overflow (the original bug evicted the held baseline)."""
         cache = PlaneFactorCache(max_entries=1)
         baseline = stack_for(8)
-        cache.get(baseline, pin=True)
-        cache.get(stack_for(9))
-        assert len(cache) == 2  # over the bound, deliberately
-        assert cache.evictions == 0
-        assert cache.pinned_overflow == 1
-        # The pinned baseline is still resident: re-reading it is a hit.
-        hits_before = cache.hits
-        cache.get(baseline)
-        assert cache.hits == hits_before + 1
-        assert cache.factorizations == 2
+        with cache.lease(baseline):
+            cache.get(stack_for(9))
+            assert len(cache) == 2  # over the bound, deliberately
+            assert cache.evictions == 0
+            assert cache.pinned_overflow == 1
+            # The leased baseline is still resident: re-reading it is a hit.
+            hits_before = cache.hits
+            cache.get(baseline)
+            assert cache.hits == hits_before + 1
+            assert cache.factorizations == 2
 
-    def test_unpin_performs_the_deferred_eviction(self):
+    def test_release_performs_the_deferred_eviction(self):
         cache = PlaneFactorCache(max_entries=1)
         baseline = stack_for(8)
         other = stack_for(9)
-        cache.get(baseline, pin=True)
-        cache.get(other)
-        assert len(cache) == 2
+        with cache.lease(baseline):
+            cache.get(other)
+            assert len(cache) == 2
 
-        assert cache.unpin(baseline) is True
+        assert not cache._leases
         assert len(cache) == 1
         assert cache.evictions == 1
-        # LRU: the unpinned baseline (older) is the victim; the newer
+        # LRU: the released baseline (older) is the victim; the newer
         # entry survives and still hits.
         hits_before = cache.hits
         cache.get(other)
         assert cache.hits == hits_before + 1
         assert cache.factorizations == 2
 
-    def test_unpin_of_unpinned_stack_is_a_noop(self):
-        cache = PlaneFactorCache(max_entries=4)
-        stack = stack_for(8)
-        cache.get(stack)
-        assert cache.unpin(stack) is False
+    def test_leases_are_counted_per_holder(self):
+        """Two holders of one geometry: the first to release must not
+        drop the other's hold (set-based pins did, and the entry still
+        in use was then evicted and dropped out of ``factor_bytes``)."""
+        cache = PlaneFactorCache(max_entries=1)
+        shared = stack_for(8)
+        key = stack_plane_signature(shared)
+        with cache.lease(shared) as held:
+            with cache.lease(shared):
+                assert cache._leases[key] == 2
+            cache.get(stack_for(9))  # a miss on another geometry
+            assert cache._entries.get(key) is held
+            assert cache.evictions == 0
+            assert cache.pinned_overflow == 1
+            assert cache.factor_bytes == sum(
+                system.memory_bytes for system in cache._entries.values()
+            )
+        assert not cache._leases
         assert len(cache) == 1
+        assert cache.factor_bytes == sum(
+            system.memory_bytes for system in cache._entries.values()
+        )
+
+    def test_lease_is_released_when_the_block_raises(self):
+        cache = PlaneFactorCache(max_entries=1)
+        with pytest.raises(RuntimeError, match="boom"):
+            with cache.lease(stack_for(8)):
+                raise RuntimeError("boom")
+        assert not cache._leases
+        cache.get(stack_for(9))
+        assert len(cache) == 1  # the released entry was evictable again
+        assert cache.pinned_overflow == 0
 
     def test_churn_against_a_pinned_baseline_counts_every_overflow(self):
         cache = PlaneFactorCache(max_entries=1)
-        cache.get(stack_for(8), pin=True)
-        for side in (9, 10, 11):
-            cache.get(stack_for(side))
-        # Each insert evicts the previous unpinned entry, then still
-        # finds itself over capacity with only the pin left.
-        assert cache.pinned_overflow == 3
-        assert cache.evictions == 2
-        assert len(cache) == 2  # pin + most recent
+        with cache.lease(stack_for(8)):
+            for side in (9, 10, 11):
+                cache.get(stack_for(side))
+            # Each insert evicts the previous unleased entry, then still
+            # finds itself over capacity with only the lease left.
+            assert cache.pinned_overflow == 3
+            assert cache.evictions == 2
+            assert len(cache) == 2  # lease + most recent
 
     def test_overflow_mirrored_into_registry(self):
         with obs.session() as tel:
             cache = PlaneFactorCache(max_entries=1)
-            cache.get(stack_for(8), pin=True)
-            cache.get(stack_for(9))
+            with cache.lease(stack_for(8)):
+                cache.get(stack_for(9))
         counters = tel.registry.counters
         assert counters["cache.pinned_overflow"].value == 1
         assert cache.pinned_overflow == 1
@@ -259,6 +289,44 @@ class TestConcurrencyStress:
         )
         assert cache.evictions == cache.factorizations - len(cache)
         assert cache.pinned_overflow == 0
+
+
+    def test_leases_hold_their_entry_resident_under_thread_churn(self):
+        """Threads lease three geometries through a one-entry cache:
+        every holder finds its own system resident for the whole block
+        (other threads' misses overflow instead of evicting it), and the
+        cache ends within its bound with no lease left."""
+        stacks = [stack_for(side) for side in (8, 9, 10)]
+        keys = [stack_plane_signature(stack) for stack in stacks]
+        cache = PlaneFactorCache(max_entries=1)
+        n_workers = 8
+        barrier = threading.Barrier(n_workers)
+
+        def worker(i: int):
+            barrier.wait()
+            for j in range(6):
+                k = (i + j) % len(stacks)
+                with cache.lease(stacks[k]) as planes:
+                    assert cache._entries.get(keys[k]) is planes
+                    time.sleep(0.001)  # let other threads churn
+                    assert cache._entries.get(keys[k]) is planes
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the lock-free reads
+        try:
+            with ThreadPoolExecutor(max_workers=n_workers) as pool:
+                futures = [pool.submit(worker, i) for i in range(n_workers)]
+                for future in futures:
+                    future.result(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+
+        assert not cache._leases
+        assert len(cache) <= 1
+        assert cache.factor_bytes == sum(
+            system.memory_bytes for system in cache._entries.values()
+        )
+        assert cache.evictions == cache.factorizations - len(cache)
 
 
 class TestRegistryThreadSafety:

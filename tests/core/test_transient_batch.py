@@ -253,6 +253,23 @@ class TestFactorSharing:
         )
         assert 0 < second.n_factorizations < first.n_factorizations
 
+    def test_engines_hold_no_lease_on_a_shared_cache(self, small_stack):
+        """Three step sizes through a two-entry cache: each engine keeps
+        its systems by reference and holds nothing, so the cache stays
+        within its bound (pins used to pile up past it, never released)."""
+        cache = PlaneFactorCache(max_entries=2)
+        for dt in (1e-10, 2e-10, 4e-10):
+            BatchedTransientSolver(
+                small_stack,
+                load_step_sweep((1.0,), t_step=1e-9),
+                CAPS,
+                dt,
+                factor_cache=cache,
+            ).run(2 * dt)
+        assert len(cache) <= 2
+        assert not cache._leases
+        assert cache.pinned_overflow == 0
+
 
 class TestSettleRetirement:
     def test_retired_waveforms_forward_fill(self, small_stack):

@@ -1,4 +1,4 @@
-"""EcoSession behaviour: ranking, verification, cache pinning, config."""
+"""EcoSession behaviour: ranking, verification, cache leasing, config."""
 
 from __future__ import annotations
 
@@ -109,14 +109,14 @@ class TestCacheIntegration:
         with EcoSession(small_stack, cache=cache) as session:
             session.baseline_drops()
             # Churn a second geometry through the full cache: the
-            # pinned base must survive, so nothing is evicted.
+            # leased base must survive, so nothing is evicted.
             cache.get(medium_stack)
             assert cache.evictions == 0
             assert session.evaluate(
                 strap_sweep(small_stack, 2, seed=0)
             ).eval_factorizations == 0
-        # Closing unpins: the next miss over capacity evicts the
-        # now-unpinned base (a hit would just refresh its LRU slot).
+        # Closing releases the lease: the cache sheds its overflow and
+        # the next miss evicts again (a hit would just refresh a slot).
         cache.get(pinsubset_stack)
         assert cache.evictions >= 1
 

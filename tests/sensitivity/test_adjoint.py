@@ -202,7 +202,7 @@ class TestFactorReuse:
         stack = small_stack(0)
         params = full_space(stack)
         cache = PlaneFactorCache()
-        baseline = cache.get(stack, pin=True)
+        baseline = cache.get(stack)
         assert baseline.n_factorizations >= 1
         before = cache.factorizations
         for values in (None, np.full(params.size, 1.1)):
@@ -217,7 +217,7 @@ class TestFactorReuse:
         stack = small_stack(1)
         params = ParameterSpace(stack, [EdgeConductanceParam(0, edges=[2])])
         cache = PlaneFactorCache()
-        cache.get(stack, pin=True)
+        cache.get(stack)
         result = adjoint_gradient(
             params, SmoothWorstDrop(), values=np.array([1.2]), cache=cache
         )

@@ -7,6 +7,8 @@ import pytest
 
 from repro import obs
 from repro.core.batch import BatchedVPConfig, BatchedVPSolver
+from repro.core.planes import stack_plane_signature
+from repro.eco import EcoSession
 from repro.errors import ReproError
 from repro.serve import (
     GridAnalysisService,
@@ -17,6 +19,8 @@ from repro.serve import (
 from repro.serve.service import _sweep_coalesce_key
 
 SMALL = {"side": 10, "tiers": 2, "seed": 3}
+#: A second geometry (different side, hence a different cache key).
+OTHER = {"side": 12, "tiers": 2, "seed": 5}
 
 
 @pytest.fixture
@@ -157,8 +161,8 @@ class TestOtherJobKinds:
         assert done.result["n_samples"] == 6
         assert done.result["mean_worst_drop"] > 0
         assert done.result["refactorizations"] == 0  # width-only contract
-        # The MC driver pins the baseline; the service must hand it back.
-        assert not service.cache._pinned
+        # The MC driver leases the baseline for its run only.
+        assert not service.cache._leases
 
     def test_mc_without_variation_fails_cleanly(self, service):
         job = service.submit("mc", "g1", {"samples": 4})
@@ -174,7 +178,7 @@ class TestOtherJobKinds:
         assert done.state == "done", done.error
         assert done.result["adjoint_converged"]
         assert len(done.result["top"]) == 3
-        assert not service.cache._pinned
+        assert not service.cache._leases
 
     def test_optimize_job(self, service):
         job = service.submit(
@@ -185,7 +189,7 @@ class TestOtherJobKinds:
         assert done.result["worst_drop_after_v"] <= done.result[
             "worst_drop_before_v"
         ] + 1e-12
-        assert not service.cache._pinned
+        assert not service.cache._leases
 
     def test_eco_job(self, service):
         job = service.submit(
@@ -195,7 +199,94 @@ class TestOtherJobKinds:
         assert done.state == "done", done.error
         assert done.result["candidates"] == 4
         assert done.result["eval_factorizations"] == 0  # SMW, no refactor
-        assert not service.cache._pinned
+        assert not service.cache._leases
+
+
+def _one_entry_service(**config) -> GridAnalysisService:
+    """Two grids over a one-entry cache: every lookup of the other grid
+    must evict unless a lease holds the resident entry."""
+    svc = GridAnalysisService(
+        ServiceConfig(
+            batch_window=0.0, queue_depth=64, cache_entries=1, **config
+        )
+    )
+    svc.register_grid("g1", SMALL)
+    svc.register_grid("g2", OTHER)
+    return svc
+
+
+def _cross_request_hits() -> int:
+    counters = obs.metrics().snapshot()["counters"]
+    return counters.get("serve.cache_cross_request_hits", 0)
+
+
+class TestCacheLeases:
+    """Only the cache tracks holds: each engine leases what it uses, and
+    one job finishing never releases another holder's lease."""
+
+    def test_finished_job_keeps_an_open_sessions_base_resident(self):
+        """An mc job on the session's grid used to drop the session's
+        set-based pin, so a sweep on a second grid evicted its base."""
+        svc = _one_entry_service(workers=2)
+        key = stack_plane_signature(svc._stack("g1"))
+        with svc, EcoSession(svc._stack("g1"), cache=svc.cache) as session:
+            mc = svc.submit(
+                "mc", "g1", {"samples": 4, "sigma_width": 0.05, "seed": 1}
+            )
+            assert svc.wait(mc.id, timeout=120).state == "done"
+            sweep = svc.submit("sweep", "g2", {})
+            assert svc.wait(sweep.id, timeout=60).state == "done"
+            # g2 overflowed the one entry instead of evicting the held
+            # base, and was itself evicted when its sweep released it.
+            assert svc.cache._entries.get(key) is session.planes
+            assert list(svc.cache._entries) == [key]
+            assert svc.cache.pinned_overflow == 1
+        assert not svc.cache._leases
+
+    def test_evicted_grids_are_not_cross_request_hits(self):
+        """g1, g2, g1 through one entry: three misses and no reuse, so
+        no cross-request hit (a service-side set of every signature
+        ever seen used to count the third sweep as one)."""
+        svc = _one_entry_service(workers=1)
+        before = _cross_request_hits()
+        with svc:
+            for grid in ("g1", "g2", "g1"):
+                job = svc.submit("sweep", grid, {})
+                assert svc.wait(job.id, timeout=60).state == "done"
+        assert (svc.cache.hits, svc.cache.misses) == (0, 3)
+        assert _cross_request_hits() == before
+
+    def test_mixed_soak_leaks_no_lease(self):
+        """24 concurrent jobs of every kind over two grids through a
+        one-entry cache: every job finishes, no lease survives the
+        drain, and the byte gauge matches a fresh recount."""
+        svc = _one_entry_service(workers=4)
+        kinds = [
+            ("sweep", lambda k: {"scenarios": [{"name": "s", "load_scale": 0.9 + 0.05 * k}]}),
+            ("mc", lambda k: {"samples": 4, "sigma_width": 0.05, "seed": k}),
+            ("sensitivity", lambda k: {"params": ["width"], "top": 3}),
+            ("optimize", lambda k: {"mode": "budget", "iterations": 1}),
+            ("optimize", lambda k: {"mode": "placement", "iterations": 1}),
+            ("eco", lambda k: {"sweep": "strap", "candidates": 2, "seed": k}),
+        ]
+        with svc:
+            jobs = [
+                svc.submit(kind, grid, params(k + rep))
+                for rep in range(2)
+                for k, (kind, params) in enumerate(kinds)
+                for grid in ("g1", "g2")
+            ]
+            done = [svc.wait(job.id, timeout=300) for job in jobs]
+        assert len(done) == 24
+        assert [job.state for job in done] == ["done"] * 24, [
+            job.error for job in done if job.state != "done"
+        ]
+        cache = svc.cache
+        assert not cache._leases
+        assert cache.factor_bytes == sum(
+            system.memory_bytes for system in cache._entries.values()
+        )
+        assert len(cache) <= svc.config.cache_entries
 
 
 class TestBackpressureAndMetrics:

@@ -1,8 +1,10 @@
 """End-to-end smoke of the live service: real process, real HTTP.
 
-Starts ``repro serve`` on an ephemeral port, registers a grid, fires a
-burst of compatible sweep jobs plus a Monte Carlo job, and asserts the
-two service-level contracts on ``/metrics``:
+Starts ``repro serve`` on an ephemeral port, registers a grid, runs a
+sensitivity job first (a first job that is not a sweep must factor into
+the shared cache, not a private one), then fires a burst of compatible
+sweep jobs plus a Monte Carlo job, and asserts the two service-level
+contracts on ``/metrics``:
 
 * the burst coalesced (``serve.coalesced_columns`` counts merged
   scenario columns) and the whole run paid exactly **one** plane
@@ -99,6 +101,18 @@ def main() -> int:
         info = call(base, "POST", "/grids", {"name": "g1", "spec": GRID})
         assert info["nodes"] == GRID["side"] ** 2 * GRID["tiers"], info
 
+        # The first job is not a sweep: its factors land in the shared
+        # cache, where every later job on g1 finds them.
+        sens = call(
+            base, "POST", "/jobs",
+            {"kind": "sensitivity", "grid": "g1", "params": {"top": 3}},
+        )
+        sens_done = call(base, "GET", f"/jobs/{sens['id']}?wait=120")
+        assert sens_done["state"] == "done", sens_done
+        cache = call(base, "GET", "/metrics")["cache"]
+        assert cache["entries"] == 1, cache
+        assert cache["factorizations"] == 1, cache
+
         # A burst of compatible sweeps inside one batching window.
         jobs = [
             call(
@@ -140,14 +154,14 @@ def main() -> int:
         assert counters.get("serve.cache_cross_request_hits", 0) >= 1, counters
         # One grid geometry, many requests, exactly one LU.
         assert metrics["cache"]["factorizations"] == 1, metrics["cache"]
-        assert counters["serve.jobs_done"] == BURST + 1, counters
+        assert counters["serve.jobs_done"] == BURST + 2, counters
 
         # -- observability surfaces --------------------------------------
 
         # Prometheus exposition validates and reflects the jobs above.
         prom = fetch_text(base, "/metrics?format=prometheus")
         samples = validate_prometheus_text(prom)
-        assert samples["repro_serve_jobs_done_total"] == BURST + 1, samples
+        assert samples["repro_serve_jobs_done_total"] == BURST + 2, samples
         phase_count = sum(
             v for k, v in samples.items()
             if k.startswith("repro_serve_job_phase_seconds_count")
@@ -186,7 +200,7 @@ def main() -> int:
         rc = proc.wait(timeout=30)
         assert rc == 0, f"serve exited with {rc}"
         print(
-            f"service smoke OK: {BURST} sweeps + 1 mc, "
+            f"service smoke OK: 1 sensitivity + {BURST} sweeps + 1 mc, "
             f"{coalesced} coalesced columns, 1 factorization, "
             f"prometheus valid, flight dump on failure, clean shutdown"
         )
