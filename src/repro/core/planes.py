@@ -30,7 +30,7 @@ import scipy.sparse as sp
 from repro import obs
 from repro.core.tsv import plane_matrices
 from repro.grid.stack3d import PowerGridStack
-from repro.linalg.direct import DirectSolver
+from repro.linalg.direct import CONDENSE_MIN_SHARE, DirectSolver
 from repro.obs.registry import Counter
 
 
@@ -61,14 +61,63 @@ def stack_plane_signature(stack: PowerGridStack) -> bytes:
     return digest.digest()
 
 
+def _same_geometry(a, b) -> bool:
+    """``tier_signature(a) == tier_signature(b)``, compared in place:
+    bitwise equality of the conductance arrays and the pad rail."""
+    pairs = (
+        (a.g_h, b.g_h),
+        (a.g_v, b.g_v),
+        (a.g_pad, b.g_pad),
+        (np.float64(a.v_pad), np.float64(b.v_pad)),
+    )
+    return all(
+        np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in pairs
+    )
+
+
 def group_tiers(stack: PowerGridStack) -> list[int]:
     """Map each tier to the index of the first tier sharing its wire
     geometry (conductances and pads; loads excluded)."""
-    signatures: dict[bytes, int] = {}
+    leaders: list[int] = []
     groups: list[int] = []
     for l, tier in enumerate(stack.tiers):
-        groups.append(signatures.setdefault(tier_signature(tier), l))
+        group = next(
+            (g for g in leaders if _same_geometry(stack.tiers[g], tier)), None
+        )
+        if group is None:
+            leaders.append(l)
+            group = l
+        groups.append(group)
     return groups
+
+
+def condensable_nodes(rows: int, cols: int, free_mask: np.ndarray) -> np.ndarray:
+    """Free lattice nodes a plane factorization can eliminate exactly
+    ahead of the LU, as a flat boolean mask.
+
+    These are the free nodes with at most two free lattice neighbours,
+    thinned so that no two are adjacent: ordered first, they form a
+    diagonal leading block of ``A_ff`` whose elimination couples at most
+    one new pair of remaining nodes each.  At TSV pitch 2 they are the
+    nodes between two adjacent pillars.  The set depends only on the
+    lattice and the pillar positions, so one order serves every tier.
+    """
+    free = free_mask.reshape(rows, cols)
+    degree = np.zeros((rows, cols), dtype=np.int8)
+    degree[1:] += free[:-1]
+    degree[:-1] += free[1:]
+    degree[:, 1:] += free[:, :-1]
+    degree[:, :-1] += free[:, 1:]
+    candidate = free & (degree <= 2)
+    clash = np.zeros_like(candidate)
+    clash[1:] |= candidate[:-1]
+    clash[:-1] |= candidate[1:]
+    clash[:, 1:] |= candidate[:, :-1]
+    clash[:, :-1] |= candidate[:, 1:]
+    # The lattice is bipartite: dropping every odd-parity candidate with
+    # a candidate neighbour leaves no adjacent pair.
+    odd = (np.arange(rows)[:, None] + np.arange(cols)) % 2 == 1
+    return (candidate & ~(clash & odd)).ravel()
 
 
 def _match_columns(vector: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -102,6 +151,19 @@ class ReducedPlaneSystem:
         needs them; the single-scenario ``cg`` solver extracts drawn
         currents from the full matrices and skips the extra
         slicing/storage.
+
+    Attributes
+    ----------
+    free:
+        Flat lattice indices of the free nodes, in the row order of
+        ``A_ff``, ``A_fp`` and ``b_free``; every consumer indexes through
+        it.  With ``factorize`` the :func:`condensable_nodes` come first
+        when they hold at least
+        :data:`~repro.linalg.direct.CONDENSE_MIN_SHARE` of the free
+        nodes, so :class:`~repro.linalg.direct.DirectSolver` eliminates
+        them ahead of the LU (at TSV pitch 2 the LU then only sees the
+        pillar-cell centres).  Otherwise, and for ``cg``, the order is
+        the natural one.
     """
 
     def __init__(
@@ -125,6 +187,15 @@ class ReducedPlaneSystem:
         free_mask = np.ones(self.n, dtype=bool)
         free_mask[self.pillar_flat] = False
         self.free = np.flatnonzero(free_mask)
+        if factorize:
+            # Eliminable nodes first when they are enough for DirectSolver
+            # to condense them out of the LU; otherwise the natural order
+            # keeps the fill-reducing ordering as it was.
+            lead = condensable_nodes(stack.rows, stack.cols, free_mask)
+            if np.count_nonzero(lead) >= CONDENSE_MIN_SHARE * self.free.size:
+                self.free = np.concatenate(
+                    (np.flatnonzero(lead), np.flatnonzero(free_mask & ~lead))
+                )
 
         self.a_ff: list = []          # DirectSolver (factorized) or CSR
         self.a_fp: list[sp.csr_matrix] = []

@@ -41,7 +41,9 @@ state; the solver work happens on the service's own worker pool.
 from __future__ import annotations
 
 import json
+import math
 import time
+import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
@@ -55,11 +57,28 @@ from repro.serve.service import GridAnalysisService, UnknownGridError
 MAX_BODY_BYTES = 1 << 20
 
 
+def _seconds(value, field: str) -> float:
+    """A finite number of seconds from a request field; anything else is
+    a 400 naming the field (``nan`` would make a wait never time out)."""
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        seconds = math.nan
+    if not math.isfinite(seconds):
+        raise ReproError(
+            f"{field!r} must be a finite number of seconds, got {value!r}"
+        )
+    return seconds
+
+
 class _Handler(BaseHTTPRequestHandler):
     """One request; routing is a small if-ladder over (method, path)."""
 
     server_version = "repro-serve"
     protocol_version = "HTTP/1.1"
+    #: Headers and body go out in two writes; with Nagle on, a small body
+    #: waits for the client's delayed ACK (~40 ms per keep-alive request).
+    disable_nagle_algorithm = True
     #: Injected by :func:`make_http_server`.
     service: GridAnalysisService
 
@@ -99,6 +118,16 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _error(self, status: int, message: str) -> None:
         self._send(status, {"error": message})
+
+    def _internal_error(self, exc: Exception) -> None:
+        """Log an unexpected handler exception with its traceback and
+        answer 500, instead of dropping the connection unanswered."""
+        self.service.log.log(
+            "http.error", path=self.path, error=repr(exc),
+            traceback=traceback.format_exc(),
+        )
+        if not self._status:  # nothing sent yet on this request
+            self._error(500, f"internal error: {type(exc).__name__}: {exc}")
 
     def _body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
@@ -183,11 +212,13 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, str(exc))
         except ReproError as exc:
             self._error(400, str(exc))
+        except Exception as exc:  # a handler bug must not drop the connection
+            self._internal_error(exc)
         finally:
             self._access("GET", t0)
 
     def _get_job(self, job_id: str, query: dict) -> None:
-        wait = float(query.get("wait", ["0"])[0])
+        wait = _seconds(query.get("wait", ["0"])[0], "wait")
         job = self.service.queue.wait(job_id, min(wait, 300.0))
         self._send(200, job.describe(include_result=True), cid=job.cid)
 
@@ -213,7 +244,9 @@ class _Handler(BaseHTTPRequestHandler):
                     kind,
                     grid,
                     body.get("params") or {},
-                    timeout=None if timeout is None else float(timeout),
+                    timeout=None if timeout is None else _seconds(
+                        timeout, "timeout"
+                    ),
                 )
                 self.service.log.job(
                     "submitted", job.cid, job.id, kind=job.kind, grid=job.grid
@@ -229,6 +262,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, str(exc))
         except ReproError as exc:
             self._error(400, str(exc))
+        except Exception as exc:  # a handler bug must not drop the connection
+            self._internal_error(exc)
         finally:
             self._access("POST", t0)
 
@@ -245,6 +280,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(404, str(exc))
         except ReproError as exc:
             self._error(400, str(exc))
+        except Exception as exc:  # a handler bug must not drop the connection
+            self._internal_error(exc)
         finally:
             self._access("DELETE", t0)
 

@@ -121,12 +121,23 @@ def _scenario_from_params(spec: dict) -> Scenario:
     return Scenario(**kwargs)
 
 
+def _number(spec: dict, key: str, default, cast=float):
+    """``cast(spec[key])``, ``default`` when absent; a value that does
+    not convert raises a :class:`ReproError` naming the field (a 400 on
+    the HTTP surface) instead of a bare ``ValueError``."""
+    value = spec.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ReproError(f"{key!r} must be a number, got {value!r}") from None
+
+
 def _sweep_config(params: dict) -> BatchedVPConfig:
     return BatchedVPConfig(
-        outer_tol=float(params.get("outer_tol", 1e-4)),
-        max_outer=int(params.get("max_outer", 200)),
+        outer_tol=_number(params, "outer_tol", 1e-4),
+        max_outer=_number(params, "max_outer", 200, int),
         vda=str(params.get("vda", "auto")),
-        eta=None if params.get("eta") is None else float(params["eta"]),
+        eta=None if params.get("eta") is None else _number(params, "eta", None),
         v0_init=str(params.get("v0_init", "pin")),
     )
 
@@ -240,18 +251,17 @@ class GridAnalysisService:
                 f"unknown grid spec fields {sorted(unknown)}; expected a "
                 f"subset of {sorted(known)}"
             )
+        seed = _number(spec, "seed", 0, int)
         if spec.get("circuit"):
-            return build_circuit(
-                spec["circuit"], seed=int(spec.get("seed", 0))
-            )
-        side = int(spec.get("side", 40))
+            return build_circuit(spec["circuit"], seed=seed)
+        side = _number(spec, "side", 40, int)
         return synthesize_stack(
             side,
             side,
-            int(spec.get("tiers", 3)),
-            r_tsv=float(spec.get("r_tsv", 0.05)),
-            v_pin=float(spec.get("vdd", 1.8)),
-            rng=int(spec.get("seed", 0)),
+            _number(spec, "tiers", 3, int),
+            r_tsv=_number(spec, "r_tsv", 0.05),
+            v_pin=_number(spec, "vdd", 1.8),
+            rng=seed,
             name=f"serve-{name}",
         )
 
@@ -294,6 +304,8 @@ class GridAnalysisService:
                 f"unknown job kind {kind!r}; expected one of {JOB_KINDS}"
             )
         self._stack(grid)  # validate the reference at submit time
+        if params is not None and not isinstance(params, dict):
+            raise ReproError(f"'params' must be an object, got {params!r}")
         params = dict(params or {})
         key = _sweep_coalesce_key(grid, params) if kind == "sweep" else None
         if timeout is None:

@@ -118,3 +118,26 @@ class TestMemoryBytes:
             assert id(system.planes[0][0].data) in arrays
             held = sum(a.nbytes for a in arrays.values())
             assert system.memory_bytes >= held
+
+
+class TestGroupTiers:
+    def test_groups_tiers_with_bitwise_equal_signatures(self):
+        from repro.core.planes import group_tiers, tier_signature
+        from repro.grid.generators import synthesize_stack
+        from repro.grid.stack3d import PowerGridStack
+
+        for seed in range(12):
+            stack = synthesize_stack(
+                6, 7, 4, replicate_tier=seed % 2 == 0,
+                jitter_sigma=0.1 if seed % 3 == 0 else 0.0, rng=seed,
+            )
+            if seed % 4 == 1:  # a non-adjacent repeat
+                tiers = list(stack.tiers)
+                tiers[2] = tiers[0]
+                stack = PowerGridStack(tiers, stack.pillars)
+            first: dict[bytes, int] = {}
+            expected = [
+                first.setdefault(tier_signature(tier), l)
+                for l, tier in enumerate(stack.tiers)
+            ]
+            assert group_tiers(stack) == expected

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
 import threading
+import time
 from urllib.error import HTTPError
 from urllib.request import Request, urlopen
 
@@ -157,3 +160,98 @@ def test_cancel_job(client):
     assert final["state"] in ("cancelled", "done")
     if final["state"] == "cancelled":
         assert "result" not in final
+
+
+def test_keep_alive_round_trips_skip_the_delayed_ack(client):
+    # Headers and body leave in two writes; with Nagle's algorithm on,
+    # the body waits for the client's delayed ACK (~40 ms per request).
+    port = int(client.base.rsplit(":", 1)[1])
+    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        times = []
+        for _ in range(20):
+            t0 = time.perf_counter()
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert json.loads(response.read()) == {"status": "ok"}
+            times.append(time.perf_counter() - t0)
+    finally:
+        conn.close()
+    assert statistics.median(times) < 0.020, times
+
+
+@pytest.fixture
+def idle_server():
+    """A server over a service whose dispatcher never runs: the one
+    submitted job stays queued (a ``wait`` on it cannot end early)."""
+    service = GridAnalysisService(ServiceConfig(queue_depth=4))
+    service.register_grid("g1", SMALL)
+    job = service.submit("sweep", "g1")
+    server = make_http_server(service)
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.05},
+        daemon=True,
+    )
+    thread.start()
+    try:
+        yield Client(server.server_address[1]), job.id, service
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+        thread.join(timeout=5)
+
+
+def call_with_deadline(http: Client, method: str, path: str, body=None):
+    """Like ``Client.call`` but gives up after 10 s (a handler blocked
+    on a never-ending wait must fail the test, not hang it)."""
+    data = None if body is None else json.dumps(body).encode()
+    request = Request(http.base + path, data=data, method=method)
+    try:
+        with urlopen(request, timeout=10) as response:
+            return response.status, json.loads(response.read())
+    except HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
+SWEEP = {"kind": "sweep", "grid": "g1"}
+
+
+@pytest.mark.parametrize(
+    "method, path, body, field",
+    [
+        ("GET", "/jobs/{job}?wait=abc", None, "wait"),
+        ("GET", "/jobs/{job}?wait=nan", None, "wait"),
+        ("GET", "/jobs/{job}?wait=inf", None, "wait"),
+        ("POST", "/jobs", {**SWEEP, "timeout": "x"}, "timeout"),
+        ("POST", "/jobs", {**SWEEP, "timeout": "nan"}, "timeout"),
+        ("POST", "/jobs", {**SWEEP, "params": [1, 2]}, "params"),
+        ("POST", "/jobs", {**SWEEP, "params": {"outer_tol": "x"}}, "outer_tol"),
+        ("POST", "/grids", {"name": "g2", "spec": {"side": "x"}}, "side"),
+    ],
+)
+def test_malformed_numbers_answer_400(idle_server, method, path, body, field):
+    http, job_id, _ = idle_server
+    status, reply = call_with_deadline(
+        http, method, path.format(job=job_id), body
+    )
+    assert status == 400
+    assert field in reply["error"]
+    assert call_with_deadline(http, "GET", "/healthz") == (
+        200, {"status": "ok"}
+    )
+
+
+def test_unexpected_handler_error_answers_500(idle_server):
+    http, _, service = idle_server
+
+    def broken():
+        raise RuntimeError("boom")
+
+    service.metrics = broken
+    status, reply = call_with_deadline(http, "GET", "/metrics")
+    assert status == 500
+    assert "RuntimeError" in reply["error"]
+    assert call_with_deadline(http, "GET", "/healthz") == (
+        200, {"status": "ok"}
+    )

@@ -12,6 +12,11 @@ contracts on ``/metrics``:
 * later requests for the same grid were counted as cross-request cache
   hits.
 
+It also times 20 keep-alive ``GET /healthz`` round trips on one
+connection (median under 20 ms: no response may wait for the client's
+delayed ACK) and checks that malformed numbers (``?wait=abc``, a
+``"timeout": "x"`` submission) answer 400 and leave the server up.
+
 Then exercises the observability surfaces: ``/metrics?format=prometheus``
 must validate against the in-tree exposition checker, a deliberately
 broken job (an mc sweep that varies nothing) must fail AND leave a
@@ -25,9 +30,11 @@ Run:  PYTHONPATH=src python tools/service_smoke.py
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -54,6 +61,33 @@ def call(base: str, method: str, path: str, body: dict | None = None):
     )
     with urlopen(request, timeout=60) as response:
         return json.loads(response.read())
+
+
+def expect_status(base: str, method: str, path: str, body, status: int):
+    try:
+        call(base, method, path, body)
+    except HTTPError as error:
+        assert error.code == status, (path, error.code)
+        assert "error" in json.loads(error.read()), path
+    else:
+        raise AssertionError(f"{method} {path} did not answer {status}")
+
+
+def keep_alive_median(base: str, requests: int = 20) -> float:
+    """Median seconds of ``requests`` GET /healthz on one connection."""
+    host, port = base.split("//", 1)[1].rsplit(":", 1)
+    conn = http.client.HTTPConnection(host, int(port), timeout=10)
+    times = []
+    try:
+        for _ in range(requests):
+            t0 = time.perf_counter()
+            conn.request("GET", "/healthz")
+            response = conn.getresponse()
+            assert json.loads(response.read()) == {"status": "ok"}
+            times.append(time.perf_counter() - t0)
+    finally:
+        conn.close()
+    return statistics.median(times)
 
 
 def call_with_headers(base: str, path: str):
@@ -112,6 +146,17 @@ def main() -> int:
         cache = call(base, "GET", "/metrics")["cache"]
         assert cache["entries"] == 1, cache
         assert cache["factorizations"] == 1, cache
+
+        # Keep-alive round trips must not stall on a delayed ACK, and
+        # malformed numbers answer 400 without dropping the connection.
+        median = keep_alive_median(base)
+        assert median < 0.020, f"keep-alive /healthz median {median:.4f} s"
+        expect_status(base, "GET", f"/jobs/{sens['id']}?wait=abc", None, 400)
+        expect_status(
+            base, "POST", "/jobs",
+            {"kind": "sweep", "grid": "g1", "timeout": "x"}, 400,
+        )
+        assert call(base, "GET", "/healthz") == {"status": "ok"}
 
         # A burst of compatible sweeps inside one batching window.
         jobs = [
@@ -202,6 +247,7 @@ def main() -> int:
         print(
             f"service smoke OK: 1 sensitivity + {BURST} sweeps + 1 mc, "
             f"{coalesced} coalesced columns, 1 factorization, "
+            f"keep-alive median {median * 1e3:.2f} ms, malformed input 400, "
             f"prometheus valid, flight dump on failure, clean shutdown"
         )
         return 0
