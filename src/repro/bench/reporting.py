@@ -6,7 +6,8 @@ import csv
 import json
 from pathlib import Path
 
-from repro.units import format_seconds
+from repro.units import ascii_table as ascii_table  # re-exported
+from repro.units import format_cell
 
 #: Version of the ``BENCH_<name>.json`` artifact schema emitted by
 #: ``benchmarks/conftest.py`` (documented in the README benchmark
@@ -19,33 +20,9 @@ from repro.units import format_seconds
 BENCH_SCHEMA_VERSION = 2
 
 
-def _stringify(cell) -> str:
-    if cell is None:
-        return "-"
-    if isinstance(cell, float):
-        return f"{cell:.4g}"
-    return str(cell)
-
-
-def ascii_table(headers: list[str], rows: list[list]) -> str:
-    """Fixed-width aligned table (right-aligned numeric feel)."""
-    text_rows = [[_stringify(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in text_rows:
-        for k, cell in enumerate(row):
-            widths[k] = max(widths[k], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[k]) for k, h in enumerate(headers)),
-        "  ".join("-" * widths[k] for k in range(len(headers))),
-    ]
-    for row in text_rows:
-        lines.append("  ".join(cell.rjust(widths[k]) for k, cell in enumerate(row)))
-    return "\n".join(lines)
-
-
 def markdown_table(headers: list[str], rows: list[list]) -> str:
     """GitHub-flavoured Markdown table."""
-    text_rows = [[_stringify(c) for c in row] for row in rows]
+    text_rows = [[format_cell(c) for c in row] for row in rows]
     lines = [
         "| " + " | ".join(headers) + " |",
         "|" + "|".join("---" for _ in headers) + "|",
@@ -85,10 +62,3 @@ def write_json(path: str | Path, payload) -> Path:
         handle.write("\n")
     return path
 
-
-def fmt_mb(n_bytes: float | None) -> str:
-    return "-" if n_bytes is None else f"{n_bytes / 1e6:.1f}"
-
-
-def fmt_time(seconds: float | None) -> str:
-    return "-" if seconds is None else format_seconds(seconds)

@@ -36,6 +36,7 @@ Subcommands (all offline, deterministic with ``--seed``):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -43,17 +44,25 @@ import numpy as np
 from repro import __version__, obs
 from repro.analysis.irdrop import ascii_heatmap, ir_drop_report
 from repro.bench.ablations import random_walk_trap, tsv_resistance_sweep
-from repro.bench.circuits import CIRCUITS, build_circuit
+from repro.bench.circuits import CIRCUITS
 from repro.bench.figures import phase_breakdown
 from repro.bench.reporting import ascii_table
 from repro.bench.table1 import run_table1
 from repro.core.vp import VPConfig, VoltagePropagationSolver
 from repro.errors import ReproError
-from repro.grid.generators import synthesize_stack
 from repro.io.solution import (
     compare_solution_files,
     stack_solution_dict,
     write_solution,
+)
+from repro.jobspec import (
+    EcoJob,
+    GridSpec,
+    McJob,
+    OptimizeJob,
+    SensitivityJob,
+    SweepJob,
+    parse,
 )
 from repro.netlist.parser import read_netlist
 from repro.netlist.writer import stack_to_netlist, write_netlist
@@ -82,14 +91,18 @@ def _add_profile_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _spec(cls, args: argparse.Namespace, **values):
+    """The ``cls`` spec parsed from every argparse value whose dest names
+    one of its fields; ``values`` replaces the ones the CLI pre-splits
+    from comma-separated text."""
+    names = {field.name for field in dataclasses.fields(cls)}
+    flags = {k: v for k, v in vars(args).items() if k in names}
+    return parse(cls, {**flags, **values})
+
+
 def _build_stack(args: argparse.Namespace):
-    if args.circuit:
-        return build_circuit(args.circuit, seed=args.seed)
-    return synthesize_stack(
-        args.side, args.side, args.tiers,
-        r_tsv=args.r_tsv, v_pin=args.vdd, rng=args.seed,
-        name=f"cli-{args.side}x{args.side}x{args.tiers}",
-    )
+    grid = _spec(GridSpec, args)
+    return grid.build(f"cli-{grid.side}x{grid.side}x{grid.tiers}")
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +210,10 @@ def cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_floats(text: str, option: str) -> list[float]:
+def _parse_floats(text: str | None, option: str) -> list[float]:
+    """Comma-separated numbers; an unset option is no numbers."""
+    if text is None:
+        return []
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
@@ -207,9 +223,16 @@ def _parse_floats(text: str, option: str) -> list[float]:
     return values
 
 
+def _write_reports(report, args: argparse.Namespace) -> None:
+    """The report as CSV and JSON, to the paths ``--csv``/``--json`` name."""
+    for path, write in ((args.csv, report.to_csv), (args.json, report.to_json)):
+        if path:
+            write(path)
+            print(f"wrote {path}")
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.bench.sweeps import run_sweep
-    from repro.core.batch import BatchedVPConfig
     from repro.scenarios import (
         cartesian_sweep,
         load_corner_sweep,
@@ -223,6 +246,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "--corner-levels and --load-scales are mutually exclusive "
             "(per-tier corners replace global scales)"
         )
+    config = _spec(SweepJob, args).config()
     stack = _build_stack(args)
     families = []
     if args.corner_levels:
@@ -241,133 +265,54 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         families.append(metal_width_sweep(width_scales))
     scenarios = cartesian_sweep(*families)
 
-    config = BatchedVPConfig(
-        outer_tol=args.outer_tol, vda=args.vda, v0_init=args.v0_init
-    )
     report = run_sweep(
         stack, scenarios, config, compare_sequential=args.compare_sequential
     )
     print(report.table())
     print(report.summary())
-    if args.csv:
-        report.to_csv(args.csv)
-        print(f"wrote {args.csv}")
-    if args.json:
-        report.to_json(args.json)
-        print(f"wrote {args.json}")
+    _write_reports(report, args)
     return 0 if all(o.converged for o in report.outcomes) else 1
 
 
 def cmd_mc(args: argparse.Namespace) -> int:
     from repro.bench.montecarlo import run_mc_benchmark
-    from repro.stochastic import (
-        MetalWidthVariation,
-        MonteCarloConfig,
-        TSVVariation,
-        VariationSpec,
-        WireFieldVariation,
-    )
 
-    wire = (
-        WireFieldVariation(
-            sigma=args.sigma_wire,
-            corr_length=args.corr_length,
-            kl_rank=args.kl_rank,
-            sigma_pad=args.sigma_pad,
-        )
-        if (args.sigma_wire > 0 or args.sigma_pad > 0)
-        else None
+    job = _spec(
+        McJob, args, quantiles=_parse_floats(args.quantiles, "--quantiles")
     )
-    width = (
-        MetalWidthVariation(sigma=args.sigma_width)
-        if args.sigma_width > 0
-        else None
-    )
-    tsv = TSVVariation(sigma=args.sigma_tsv) if args.sigma_tsv > 0 else None
-    if wire is None and width is None and tsv is None:
-        raise ReproError(
-            "nothing varies: set at least one of --sigma-wire, "
-            "--sigma-pad, --sigma-width, --sigma-tsv"
-        )
-    spec = VariationSpec(wire=wire, width=width, tsv=tsv, name="cli-mc")
-
+    spec = job.variation("cli-mc")
     stack = _build_stack(args)
-    config = MonteCarloConfig(
-        batch_size=args.batch_size,
-        outer_tol=args.outer_tol,
-        quantiles=tuple(_parse_floats(args.quantiles, "--quantiles")),
-        budget=args.budget,
-    )
     report = run_mc_benchmark(
         stack,
         spec,
-        args.samples,
-        seed=args.seed,
-        config=config,
+        job.samples,
+        seed=job.seed,
+        config=job.config(),
         compare_naive=args.compare_naive,
     )
     print(report.table())
     print(report.summary())
-    if args.csv:
-        report.to_csv(args.csv)
-        print(f"wrote {args.csv}")
-    if args.json:
-        report.to_json(args.json)
-        print(f"wrote {args.json}")
+    _write_reports(report, args)
     return 0 if report.result.converged.all() else 1
-
-
-def _sensitivity_space(stack, which: list[str]):
-    from repro.sensitivity import (
-        LoadCurrentParam,
-        MetalWidthParam,
-        ParameterSpace,
-        TSVConductanceParam,
-    )
-
-    blocks = []
-    for name in which:
-        if name == "width":
-            blocks.append(MetalWidthParam())
-        elif name == "tsv":
-            blocks.append(TSVConductanceParam())
-        elif name == "load":
-            blocks.extend(
-                LoadCurrentParam(t) for t in range(stack.n_tiers)
-            )
-        else:
-            raise ReproError(
-                f"unknown parameter family {name!r}; use width, tsv, load"
-            )
-    return ParameterSpace(stack, blocks)
 
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
     from repro.bench.reporting import write_csv, write_json
     from repro.sensitivity import (
-        NodeDrop,
-        SmoothWorstDrop,
         adjoint_gradient,
         compare_gradients,
         finite_difference_gradient,
     )
 
+    job = _spec(
+        SensitivityJob,
+        args,
+        params=[f.strip() for f in args.params.split(",") if f.strip()],
+        node=args.node.split(",") if args.node else None,
+    )
     stack = _build_stack(args)
-    families = [f.strip() for f in args.params.split(",") if f.strip()]
-    if not families:
-        raise ReproError("--params needs at least one family")
-    params = _sensitivity_space(stack, families)
-
-    if args.node:
-        try:
-            tier, row, col = (int(v) for v in args.node.split(","))
-        except ValueError:
-            raise ReproError(
-                f"--node expects 'tier,row,col', got {args.node!r}"
-            ) from None
-        metric = NodeDrop(tier, row, col)
-    else:
-        metric = SmoothWorstDrop(beta=args.beta)
+    params = job.parameter_space(stack)
+    metric = job.metric()
 
     result = adjoint_gradient(params, metric)
     print(
@@ -378,7 +323,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     )
     rows = [
         [name, f"{g:.6e}", si_format(g, "V")]
-        for name, g in result.top(args.top)
+        for name, g in result.top(job.top)
     ]
     print(ascii_table(["parameter", "dm/dp", "per unit"], rows))
 
@@ -425,28 +370,15 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     from repro.bench.reporting import write_json
-    from repro.scenarios import pad_current_sweep
 
-    stack = _build_stack(args)
-    scenarios = (
-        pad_current_sweep(_parse_floats(args.load_scales, "--load-scales"))
-        if args.load_scales
-        else None
+    job = _spec(
+        OptimizeJob,
+        args,
+        load_scales=_parse_floats(args.load_scales, "--load-scales"),
+        bounds=_parse_floats(args.bounds, "--bounds"),
     )
-
-    if args.mode == "budget":
-        from repro.optimize import BudgetConfig, allocate_wire_width
-
-        bounds = _parse_floats(args.bounds, "--bounds")
-        if len(bounds) != 2:
-            raise ReproError("--bounds expects 'lo,hi'")
-        result = allocate_wire_width(
-            stack,
-            budget=args.area_budget,
-            bounds=(bounds[0], bounds[1]),
-            scenarios=scenarios,
-            config=BudgetConfig(max_iterations=args.iterations),
-        )
+    result = job.run(_build_stack(args))
+    if job.mode == "budget":
         rows = [
             [f"tier {t}", f"{w0:.4f}", f"{w:.4f}"]
             for t, (w0, w) in enumerate(
@@ -454,22 +386,11 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             )
         ]
         print(ascii_table(["tier width", "before", "after"], rows))
-        payload = result.payload()
     else:
-        from repro.optimize import PlacementConfig, refine_pin_placement
-
-        result = refine_pin_placement(
-            stack,
-            n_pins=args.pins,
-            scenarios=scenarios,
-            config=PlacementConfig(max_rounds=args.iterations),
-        )
         print(
             f"{result.n_pins} pins, {len(result.swaps)} accepted swaps in "
             f"{result.rounds} rounds"
         )
-        payload = result.payload()
-
     print(
         f"worst-case IR drop: {si_format(result.drop_initial, 'V')} -> "
         f"{si_format(result.drop_final, 'V')} "
@@ -477,7 +398,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         f"{result.new_factorizations} new factorizations)"
     )
     if args.json:
-        write_json(args.json, payload)
+        write_json(args.json, result.payload())
         print(f"wrote {args.json}")
     return 0
 
@@ -486,37 +407,25 @@ def cmd_eco(args: argparse.Namespace) -> int:
     import time as _time
 
     from repro.core.planes import PlaneFactorCache
-    from repro.eco import (
-        EcoConfig,
-        EcoSession,
-        generate_candidates,
-        load_candidates,
-    )
-    from repro.scenarios import pad_current_sweep
+    from repro.eco import EcoSession, load_candidates
 
+    job = _spec(
+        EcoJob,
+        args,
+        load_scales=_parse_floats(args.load_scales, "--load-scales"),
+    )
     stack = _build_stack(args)
     if args.edits:
         candidates = load_candidates(args.edits)
     else:
-        candidates = generate_candidates(
-            stack, args.sweep, args.candidates, seed=args.seed
-        )
-    scenarios = (
-        pad_current_sweep(_parse_floats(args.load_scales, "--load-scales"))
-        if args.load_scales
-        else None
-    )
+        candidates = job.generate_candidates(stack)
     cache = PlaneFactorCache(max_entries=args.cache_entries)
-    config = EcoConfig(
-        outer_tol=args.outer_tol,
-        metric=args.metric,
-        verify_fraction=args.verify,
-    )
+    config = job.config()
     with EcoSession(
-        stack, scenarios=scenarios, config=config, cache=cache
+        stack, scenarios=job.scenarios(), config=config, cache=cache
     ) as session:
         report = session.rank_candidates(candidates)
-        print(report.table(top=args.top))
+        print(report.table(top=job.top))
         print()
         print(report.summary())
         if args.compare_refactorize:
@@ -557,12 +466,7 @@ def cmd_eco(args: argparse.Namespace) -> int:
                 f"({factor_s / sample * 1e3:.0f} ms -> "
                 f"{update_per_cand * 1e3:.1f} ms/candidate)"
             )
-    if args.csv:
-        report.to_csv(args.csv)
-        print(f"wrote {args.csv}")
-    if args.json:
-        report.to_json(args.json)
-        print(f"wrote {args.json}")
+    _write_reports(report, args)
     return 0 if all(row.converged for row in report.rows) else 1
 
 
@@ -676,12 +580,7 @@ def cmd_transient(args: argparse.Namespace) -> int:
         )
         print(report.table())
         print(report.summary())
-        if args.csv:
-            report.to_csv(args.csv)
-            print(f"wrote {args.csv}")
-        if args.json:
-            report.to_json(args.json)
-            print(f"wrote {args.json}")
+        _write_reports(report, args)
         return 0
     base_loads = [tier.loads.copy() for tier in stack.tiers]
     stimulus = step_stimulus(

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+from collections import OrderedDict
 from contextlib import contextmanager
 
 import numpy as np
@@ -537,7 +538,9 @@ class PlaneFactorCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self._lock = threading.RLock()
-        self._entries: dict[bytes, ReducedPlaneSystem] = {}
+        #: LRU order, oldest first; a hit moves its key to the end in
+        #: place, so a held entry never leaves the mapping.
+        self._entries: OrderedDict[bytes, ReducedPlaneSystem] = OrderedDict()
         #: Footprint recorded at insert time -- eviction bookkeeping must
         #: subtract exactly what was added, even under concurrent churn.
         self._entry_bytes: dict[bytes, int] = {}
@@ -618,11 +621,11 @@ class PlaneFactorCache:
     ) -> ReducedPlaneSystem:
         while True:
             with self._lock:
-                system = self._entries.pop(key, None)
+                system = self._entries.get(key)
                 if system is not None:
                     self._hits.add()
                     obs.add("cache.hits")
-                    self._entries[key] = system  # refresh LRU position
+                    self._entries.move_to_end(key)
                     if hold:
                         self._leases[key] = self._leases.get(key, 0) + 1
                     return system

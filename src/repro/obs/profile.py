@@ -2,39 +2,14 @@
 
 Turns one telemetry session (spans + metrics) into the human-readable
 summary the CLI prints: a span table ordered by self time, then the
-counter/gauge/histogram tallies.  ``repro.obs`` is the bottom layer of
-the tree (core/linalg/bench all import it), so the table renderer is a
-local copy of the ``bench.reporting`` style rather than an import of it.
+counter/gauge/histogram tallies.
 """
 
 from __future__ import annotations
 
 from repro.obs.export import span_summary
 from repro.obs.session import Telemetry
-from repro.units import format_seconds
-
-
-def _stringify(cell) -> str:
-    if cell is None:
-        return "-"
-    if isinstance(cell, float):
-        return f"{cell:.4g}"
-    return str(cell)
-
-
-def _ascii_table(headers: list[str], rows: list[list]) -> str:
-    text_rows = [[_stringify(c) for c in row] for row in rows]
-    widths = [len(h) for h in headers]
-    for row in text_rows:
-        for k, cell in enumerate(row):
-            widths[k] = max(widths[k], len(cell))
-    lines = [
-        "  ".join(h.ljust(widths[k]) for k, h in enumerate(headers)),
-        "  ".join("-" * widths[k] for k in range(len(headers))),
-    ]
-    for row in text_rows:
-        lines.append("  ".join(cell.rjust(widths[k]) for k, cell in enumerate(row)))
-    return "\n".join(lines)
+from repro.units import ascii_table, format_seconds
 
 
 def render_profile(tel: Telemetry) -> str:
@@ -58,16 +33,16 @@ def render_profile(tel: Telemetry) -> str:
         ]
         sections.append(
             "spans (by self time)\n"
-            + _ascii_table(["span", "count", "total", "self", "min", "max"], rows)
+            + ascii_table(["span", "count", "total", "self", "min", "max"], rows)
         )
 
     reg = tel.registry
     if reg.counters:
         rows = [[name, c.value] for name, c in sorted(reg.counters.items())]
-        sections.append("counters\n" + _ascii_table(["counter", "value"], rows))
+        sections.append("counters\n" + ascii_table(["counter", "value"], rows))
     if reg.gauges:
         rows = [[name, g.value] for name, g in sorted(reg.gauges.items())]
-        sections.append("gauges\n" + _ascii_table(["gauge", "value"], rows))
+        sections.append("gauges\n" + ascii_table(["gauge", "value"], rows))
     if reg.histograms:
         rows = [
             [name, h.count, h.mean, h.min, h.max]
@@ -77,7 +52,7 @@ def render_profile(tel: Telemetry) -> str:
         if rows:
             sections.append(
                 "histograms\n"
-                + _ascii_table(["histogram", "count", "mean", "min", "max"], rows)
+                + ascii_table(["histogram", "count", "mean", "min", "max"], rows)
             )
     if reg.bucket_histograms:
         rows = []
@@ -91,7 +66,7 @@ def render_profile(tel: Telemetry) -> str:
         if rows:
             sections.append(
                 "latency histograms\n"
-                + _ascii_table(["histogram", "count", "mean", "min", "max"], rows)
+                + ascii_table(["histogram", "count", "mean", "min", "max"], rows)
             )
     if reg.series_store:
         rows = [
@@ -99,7 +74,7 @@ def render_profile(tel: Telemetry) -> str:
             for name, s in sorted(reg.series_store.items())
         ]
         sections.append(
-            "convergence series\n" + _ascii_table(["series", "points", "last"], rows)
+            "convergence series\n" + ascii_table(["series", "points", "last"], rows)
         )
 
     if not sections:

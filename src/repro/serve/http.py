@@ -232,7 +232,7 @@ class _Handler(BaseHTTPRequestHandler):
                 name = body.get("name")
                 if not name:
                     raise ReproError("grid registration needs a 'name'")
-                info = self.service.register_grid(name, body.get("spec") or {})
+                info = self.service.register_grid(name, body.get("spec"))
                 self._send(201, info)
             elif parts == ["jobs"]:
                 kind = body.get("kind")
@@ -243,7 +243,7 @@ class _Handler(BaseHTTPRequestHandler):
                 job = self.service.submit(
                     kind,
                     grid,
-                    body.get("params") or {},
+                    body.get("params"),
                     timeout=None if timeout is None else _seconds(
                         timeout, "timeout"
                     ),

@@ -54,14 +54,18 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro import obs
-from repro.core.batch import BatchedVPConfig, BatchedVPSolver
+from repro.core.batch import BatchedVPSolver
 from repro.core.planes import PlaneFactorCache, stack_plane_signature
+from repro.eco import EcoSession
 from repro.errors import ReproError
+from repro.jobspec import JOB_SPECS, GridSpec, SweepJob, parse
 from repro.scenarios.spec import Scenario, ScenarioSet
+from repro.sensitivity import adjoint_gradient
 from repro.serve.jobs import Job, JobQueue, JobState
+from repro.stochastic import run_monte_carlo
 
-#: Job kinds the service accepts (see docs/service.md for parameters).
-JOB_KINDS = ("sweep", "mc", "sensitivity", "optimize", "eco")
+#: Job kinds the service accepts (parameters: :mod:`repro.jobspec`).
+JOB_KINDS = tuple(JOB_SPECS)
 
 
 class UnknownGridError(ReproError):
@@ -103,59 +107,12 @@ class ServiceConfig:
             raise ReproError("flight_capacity must be >= 1")
 
 
-def _scenario_from_params(spec: dict) -> Scenario:
-    """Build a :class:`Scenario` from one request dict."""
-    if not isinstance(spec, dict):
-        raise ReproError(f"scenario spec must be an object, got {spec!r}")
-    known = {"name", "load_scale", "r_tsv_scale", "plane_scale"}
-    unknown = set(spec) - known
-    if unknown:
-        raise ReproError(
-            f"unknown scenario fields {sorted(unknown)}; expected a subset "
-            f"of {sorted(known)}"
-        )
-    kwargs = dict(spec)
-    for key in ("load_scale", "plane_scale"):
-        if isinstance(kwargs.get(key), list):
-            kwargs[key] = tuple(float(v) for v in kwargs[key])
-    return Scenario(**kwargs)
-
-
-def _number(spec: dict, key: str, default, cast=float):
-    """``cast(spec[key])``, ``default`` when absent; a value that does
-    not convert raises a :class:`ReproError` naming the field (a 400 on
-    the HTTP surface) instead of a bare ``ValueError``."""
-    value = spec.get(key, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError):
-        raise ReproError(f"{key!r} must be a number, got {value!r}") from None
-
-
-def _sweep_config(params: dict) -> BatchedVPConfig:
-    return BatchedVPConfig(
-        outer_tol=_number(params, "outer_tol", 1e-4),
-        max_outer=_number(params, "max_outer", 200, int),
-        vda=str(params.get("vda", "auto")),
-        eta=None if params.get("eta") is None else _number(params, "eta", None),
-        v0_init=str(params.get("v0_init", "pin")),
-    )
-
-
 def _sweep_coalesce_key(grid: str, params: dict) -> tuple:
-    """Compatibility key of a sweep job: grid identity plus every solver
-    knob that changes the iteration sequence.  Jobs sharing this key can
-    ride one merged batch without changing any job's numbers."""
-    config = _sweep_config(params)
-    return (
-        "sweep",
-        grid,
-        config.outer_tol,
-        config.max_outer,
-        config.vda,
-        config.eta,
-        config.v0_init,
-    )
+    """Compatibility key of a sweep job: the grid and its parsed solver
+    fields (all but the scenarios, which the worker parses).  Jobs that
+    share it ride one merged batch without changing any job's numbers."""
+    solver = {k: v for k, v in params.items() if k != "scenarios"}
+    return ("sweep", grid, parse(SweepJob, solver))
 
 
 class GridAnalysisService:
@@ -222,48 +179,22 @@ class GridAnalysisService:
         self.close()
 
     # -- grid registry ---------------------------------------------------
-    def register_grid(self, name: str, spec: dict) -> dict:
+    def register_grid(self, name: str, spec: dict | None) -> dict:
         """Register (or replace) a named grid from a build spec.
 
-        ``spec`` is either ``{"circuit": <benchmark name>}`` or a
-        synthesis spec ``{"side", "tiers", "r_tsv", "vdd", "seed"}``
-        (all optional, CLI defaults apply).  Registration builds the
-        stack but not its factors -- those are built by the first job
-        (and cached for every job after).
+        ``spec`` (a :class:`~repro.jobspec.GridSpec`) is either
+        ``{"circuit": <benchmark name>}`` or a synthesis spec ``{"side",
+        "tiers", "r_tsv", "vdd", "seed"}`` (all optional, CLI defaults
+        apply).  Registration builds the stack but not its factors --
+        those are built by the first job (and cached for every job after).
         """
         if not name:
             raise ReproError("grid needs a non-empty name")
-        stack = self._build_stack(name, spec or {})
+        stack = parse(GridSpec, {} if spec is None else spec).build(f"serve-{name}")
         with self._grids_lock:
             self._grids[name] = stack
         obs.add("serve.grids_registered")
         return self.describe_grid(name)
-
-    @staticmethod
-    def _build_stack(name: str, spec: dict):
-        from repro.bench.circuits import build_circuit
-        from repro.grid.generators import synthesize_stack
-
-        known = {"circuit", "side", "tiers", "r_tsv", "vdd", "seed"}
-        unknown = set(spec) - known
-        if unknown:
-            raise ReproError(
-                f"unknown grid spec fields {sorted(unknown)}; expected a "
-                f"subset of {sorted(known)}"
-            )
-        seed = _number(spec, "seed", 0, int)
-        if spec.get("circuit"):
-            return build_circuit(spec["circuit"], seed=seed)
-        side = _number(spec, "side", 40, int)
-        return synthesize_stack(
-            side,
-            side,
-            _number(spec, "tiers", 3, int),
-            r_tsv=_number(spec, "r_tsv", 0.05),
-            v_pin=_number(spec, "vdd", 1.8),
-            rng=seed,
-            name=f"serve-{name}",
-        )
 
     def _stack(self, name: str):
         with self._grids_lock:
@@ -458,19 +389,18 @@ class GridAnalysisService:
     def _run_sweep_batch(self, batch: list[Job]) -> list[tuple[Job, dict]]:
         grid = batch[0].grid
         stack = self._stack(grid)
-        config = _sweep_config(batch[0].params)
+        specs = [parse(SweepJob, job.params) for job in batch]
 
         # Merge: one scenario list per job, names prefixed by job id so
         # the merged set stays duplicate-free; slices remember who owns
         # which columns for fan-out.
         merged: list[Scenario] = []
         slices: list[tuple[Job, int, int]] = []
-        for job in batch:
-            specs = job.params.get("scenarios") or [{"name": "nominal"}]
-            scenarios = [_scenario_from_params(s) for s in specs]
+        for job, spec in zip(batch, specs):
             start = len(merged)
             merged.extend(
-                replace(s, name=f"{job.id}/{s.name}") for s in scenarios
+                replace(s, name=f"{job.id}/{s.name}")
+                for s in spec.scenario_list()
             )
             slices.append((job, start, len(merged)))
 
@@ -482,7 +412,7 @@ class GridAnalysisService:
             "serve.solve", grid=grid, jobs=len(batch), columns=len(merged)
         ), self.cache.lease(stack) as planes:
             solver = BatchedVPSolver(
-                stack, ScenarioSet(merged), config, planes=planes
+                stack, ScenarioSet(merged), specs[0].config(), planes=planes
             )
             result = solver.solve()
 
@@ -516,73 +446,24 @@ class GridAnalysisService:
         return payloads
 
     def _run_single(self, job: Job) -> dict:
-        runner = {
-            "mc": self._run_mc,
-            "sensitivity": self._run_sensitivity,
-            "optimize": self._run_optimize,
-            "eco": self._run_eco,
-        }[job.kind]
+        spec = parse(JOB_SPECS[job.kind], job.params)
+        runner = getattr(self, f"_run_{job.kind}")
         stack = self._stack(job.grid)
         with obs.span("serve.solve", grid=job.grid, kind=job.kind, jobs=1):
-            result = runner(job, stack)
+            result = runner(job, spec, stack)
         job.batch_jobs = 1
-        return result
+        return {"kind": job.kind, "grid": job.grid, **result}
 
-    def _run_mc(self, job: Job, stack) -> dict:
-        from repro.stochastic import (
-            MetalWidthVariation,
-            MonteCarloConfig,
-            TSVVariation,
-            VariationSpec,
-            WireFieldVariation,
-        )
-
-        p = job.params
-        wire = (
-            WireFieldVariation(
-                sigma=float(p.get("sigma_wire", 0.0)),
-                sigma_pad=float(p.get("sigma_pad", 0.0)),
-                corr_length=float(p.get("corr_length", 0.0)),
-            )
-            if (p.get("sigma_wire") or p.get("sigma_pad"))
-            else None
-        )
-        width = (
-            MetalWidthVariation(sigma=float(p["sigma_width"]))
-            if p.get("sigma_width")
-            else None
-        )
-        tsv = (
-            TSVVariation(sigma=float(p["sigma_tsv"]))
-            if p.get("sigma_tsv")
-            else None
-        )
-        if wire is None and width is None and tsv is None:
-            raise ReproError(
-                "mc job varies nothing: set sigma_wire, sigma_pad, "
-                "sigma_width, or sigma_tsv"
-            )
-        spec = VariationSpec(wire=wire, width=width, tsv=tsv, name=job.id)
-        config_kwargs = {
-            k: p[k] for k in ("batch_size", "outer_tol", "budget") if k in p
-        }
-        if "quantiles" in p:
-            config_kwargs["quantiles"] = tuple(
-                float(q) for q in p["quantiles"]
-            )
-        from repro.stochastic import run_monte_carlo
-
+    def _run_mc(self, job: Job, spec, stack) -> dict:
         result = run_monte_carlo(
             stack,
-            spec,
-            int(p.get("samples", 16)),
-            seed=int(p.get("seed", 0)),
-            config=MonteCarloConfig(**config_kwargs),
+            spec.variation(job.id),
+            spec.samples,
+            seed=spec.seed,
+            config=spec.config(),
             cache=self.cache,
         )
         return {
-            "kind": "mc",
-            "grid": job.grid,
             "n_samples": result.n_samples,
             "converged": int(result.converged.sum()),
             "mean_worst_drop": result.mean_worst_drop,
@@ -599,44 +480,11 @@ class GridAnalysisService:
             "refactorizations": result.stats.refactorizations,
         }
 
-    def _run_sensitivity(self, job: Job, stack) -> dict:
-        from repro.sensitivity import (
-            LoadCurrentParam,
-            MetalWidthParam,
-            NodeDrop,
-            ParameterSpace,
-            SmoothWorstDrop,
-            TSVConductanceParam,
-            adjoint_gradient,
+    def _run_sensitivity(self, job: Job, spec, stack) -> dict:
+        result = adjoint_gradient(
+            spec.parameter_space(stack), spec.metric(), cache=self.cache
         )
-
-        p = job.params
-        blocks = []
-        for family in p.get("params", ["width"]):
-            if family == "width":
-                blocks.append(MetalWidthParam())
-            elif family == "tsv":
-                blocks.append(TSVConductanceParam())
-            elif family == "load":
-                blocks.extend(
-                    LoadCurrentParam(t) for t in range(stack.n_tiers)
-                )
-            else:
-                raise ReproError(
-                    f"unknown parameter family {family!r}; use width, "
-                    "tsv, load"
-                )
-        space = ParameterSpace(stack, blocks)
-        if "node" in p:
-            metric = NodeDrop(*(int(v) for v in p["node"]))
-        elif "beta" in p:
-            metric = SmoothWorstDrop(beta=float(p["beta"]))
-        else:
-            metric = SmoothWorstDrop()
-        result = adjoint_gradient(space, metric, cache=self.cache)
         return {
-            "kind": "sensitivity",
-            "grid": job.grid,
             "metric": result.metric_name,
             "metric_value": result.metric_value,
             "n_params": result.n_params,
@@ -644,85 +492,24 @@ class GridAnalysisService:
             "new_factorizations": result.new_factorizations,
             "top": [
                 {"parameter": name, "gradient": g}
-                for name, g in result.top(int(p.get("top", 10)))
+                for name, g in result.top(spec.top)
             ],
         }
 
-    def _run_optimize(self, job: Job, stack) -> dict:
-        from repro.scenarios import pad_current_sweep
+    def _run_optimize(self, job: Job, spec, stack) -> dict:
+        result = spec.run(stack, cache=self.cache)
+        return {"mode": spec.mode, **result.payload()}
 
-        p = job.params
-        scenarios = (
-            pad_current_sweep([float(s) for s in p["load_scales"]])
-            if p.get("load_scales")
-            else None
-        )
-        mode = p.get("mode", "budget")
-        if mode == "budget":
-            from repro.optimize import BudgetConfig, allocate_wire_width
-
-            bounds = [float(b) for b in p.get("bounds", (0.5, 2.5))]
-            if len(bounds) != 2:
-                raise ReproError("bounds expects [lo, hi]")
-            config = (
-                BudgetConfig(max_iterations=int(p["iterations"]))
-                if "iterations" in p
-                else None
-            )
-            result = allocate_wire_width(
-                stack,
-                budget=p.get("area_budget"),
-                bounds=(bounds[0], bounds[1]),
-                scenarios=scenarios,
-                config=config,
-                cache=self.cache,
-            )
-        elif mode == "placement":
-            from repro.optimize import PlacementConfig, refine_pin_placement
-
-            config = (
-                PlacementConfig(max_rounds=int(p["iterations"]))
-                if "iterations" in p
-                else None
-            )
-            result = refine_pin_placement(
-                stack,
-                n_pins=p.get("pins"),
-                scenarios=scenarios,
-                config=config,
-                cache=self.cache,
-            )
-        else:
-            raise ReproError(
-                f"unknown optimize mode {mode!r}; use budget or placement"
-            )
-        return {"kind": "optimize", "grid": job.grid, "mode": mode,
-                **result.payload()}
-
-    def _run_eco(self, job: Job, stack) -> dict:
-        from repro.eco import EcoSession, generate_candidates
-        from repro.scenarios import pad_current_sweep
-
-        p = job.params
-        candidates = generate_candidates(
-            stack,
-            p.get("sweep", "strap"),
-            int(p.get("candidates", 8)),
-            seed=int(p.get("seed", 0)),
-        )
-        scenarios = (
-            pad_current_sweep([float(s) for s in p["load_scales"]])
-            if p.get("load_scales")
-            else None
-        )
+    def _run_eco(self, job: Job, spec, stack) -> dict:
         with EcoSession(
-            stack, scenarios=scenarios, cache=self.cache
+            stack,
+            scenarios=spec.scenarios(),
+            config=spec.config(),
+            cache=self.cache,
         ) as session:
-            report = session.rank_candidates(candidates)
-        ranked = report.ranked()[: int(p.get("top", 10))]
+            report = session.rank_candidates(spec.generate_candidates(stack))
+        ranked = report.ranked()[: spec.top]
         return {
-            "kind": "eco",
-            "grid": job.grid,
             "metric": report.metric,
             "baseline_metric": report.baseline_metric,
             "candidates": len(report.rows),

@@ -27,6 +27,7 @@ matrices, and (c) a geometry key the driver groups batches by.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +39,9 @@ from repro.scenarios.spec import Scenario
 
 
 def _check_sigma(sigma: float, label: str) -> None:
-    if sigma < 0:
-        raise ReproError(f"{label} must be non-negative")
+    # NaN fails both ``< 0`` and ``> 0``: it would switch the source off.
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ReproError(f"{label} must be finite and non-negative, got {sigma}")
 
 
 @dataclass(frozen=True)
@@ -62,8 +64,7 @@ class WireFieldVariation:
     def __post_init__(self) -> None:
         _check_sigma(self.sigma, "wire sigma")
         _check_sigma(self.sigma_pad, "pad sigma")
-        if self.corr_length < 0:
-            raise ReproError("corr_length must be non-negative")
+        _check_sigma(self.corr_length, "corr_length")
         if self.kl_rank < 1:
             raise ReproError("KL rank must be >= 1")
 

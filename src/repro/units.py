@@ -1,7 +1,8 @@
 """Engineering-unit helpers used across reports and benchmarks.
 
-Only formatting/parsing lives here; the rest of the library works in plain
-SI floats (volts, amperes, ohms, siemens, seconds, bytes).
+Only formatting/parsing lives here, down to the one fixed-width table
+renderer every report and profile prints with; the rest of the library
+works in plain SI floats (volts, amperes, ohms, siemens, seconds, bytes).
 """
 
 from __future__ import annotations
@@ -98,3 +99,29 @@ def format_seconds(seconds: float) -> str:
     if seconds < 3600:
         return f"{seconds / 60:.3g}min"
     return f"{seconds / 3600:.3g}h"
+
+
+def format_cell(cell) -> str:
+    """One report-table cell: ``-`` for None, 4 significant digits for a
+    float."""
+    if cell is None:
+        return "-"
+    if isinstance(cell, float):
+        return f"{cell:.4g}"
+    return str(cell)
+
+
+def ascii_table(headers: list[str], rows: list[list]) -> str:
+    """Fixed-width aligned table (right-aligned numeric feel)."""
+    text_rows = [[format_cell(c) for c in row] for row in rows]
+    widths = [len(h) for h in headers]
+    for row in text_rows:
+        for k, cell in enumerate(row):
+            widths[k] = max(widths[k], len(cell))
+    lines = [
+        "  ".join(h.ljust(widths[k]) for k, h in enumerate(headers)),
+        "  ".join("-" * widths[k] for k in range(len(headers))),
+    ]
+    for row in text_rows:
+        lines.append("  ".join(cell.rjust(widths[k]) for k, cell in enumerate(row)))
+    return "\n".join(lines)

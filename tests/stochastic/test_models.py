@@ -52,6 +52,24 @@ class TestComponents:
         with pytest.raises(ReproError):
             TSVVariation(sigma=-0.1)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda v: WireFieldVariation(sigma=v),
+            lambda v: WireFieldVariation(sigma=0.1, sigma_pad=v),
+            lambda v: WireFieldVariation(sigma=0.1, corr_length=v),
+            MetalWidthVariation,
+            TSVVariation,
+        ],
+        ids=["wire", "pad", "corr_length", "width", "tsv"],
+    )
+    def test_non_finite_values_rejected(self, build, value):
+        """NaN fails both ``< 0`` and ``> 0``, so it used to switch the
+        source off silently instead of raising."""
+        with pytest.raises(ReproError, match="finite"):
+            build(value)
+
     def test_empty_spec_rejected(self):
         with pytest.raises(ReproError):
             VariationSpec()

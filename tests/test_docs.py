@@ -89,3 +89,36 @@ class TestCheckerCatchesRot:
         assert any("wrong-anchor" in p for p in problems)
         path.write_text("see [t](target.md#real-heading)\n")
         assert check_docs.check_links(path) == []
+
+
+
+class TestSchemaTables:
+    SERVICE = REPO_ROOT / "docs" / "service.md"
+
+    def _drifted(self, tmp_path, old, new):
+        text = self.SERVICE.read_text()
+        assert old in text
+        path = tmp_path / "service.md"
+        path.write_text(text.replace(old, new))
+        return check_docs.check_schema_tables(path)
+
+    def test_optimize_budget_drift_flagged(self, tmp_path):
+        """The field docs/service.md once documented and the service
+        never read."""
+        problems = self._drifted(
+            tmp_path, "`area_budget: number or null = null`",
+            "`budget: number or null = null`",
+        )
+        assert any("'budget'" in p and "not a field" in p for p in problems)
+        assert any("'area_budget'" in p for p in problems)
+
+    def test_default_drift_flagged(self, tmp_path):
+        problems = self._drifted(
+            tmp_path, "`samples: int = 16`", "`samples: int`"
+        )
+        assert len(problems) == 1
+        assert "mc documents samples as required, the spec says 16" in problems[0]
+
+    def test_missing_row_flagged(self, tmp_path):
+        problems = self._drifted(tmp_path, "| `grid` |", "| grid |")
+        assert problems == ["service.md: no schema row for 'grid'"]

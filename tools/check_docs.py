@@ -1,6 +1,6 @@
 """Documentation checker: keep docs/*.md and README.md honest.
 
-Three classes of rot this catches, all cheap enough for CI:
+Four classes of rot this catches, all cheap enough for CI:
 
 * ``python`` fenced blocks must parse, and every ``from repro...``
   import in them must resolve to a real attribute -- renamed or removed
@@ -9,7 +9,10 @@ Three classes of rot this catches, all cheap enough for CI:
   subcommands, and every ``--flag`` they pass must exist on that
   subcommand's parser (checked against ``build_parser()`` itself);
 * relative markdown links (and their ``#anchors``) must point at files
-  and headings that exist.
+  and headings that exist;
+* the request-schema tables of docs/service.md (one row per job kind,
+  plus ``grid`` and ``scenario``) must name exactly the fields of each
+  :mod:`repro.jobspec` spec, with the spec's defaults.
 
 Run:  PYTHONPATH=src python tools/check_docs.py
 """
@@ -17,7 +20,9 @@ Run:  PYTHONPATH=src python tools/check_docs.py
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
+import json
 import re
 import sys
 from dataclasses import dataclass
@@ -28,6 +33,8 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 FENCE_RE = re.compile(r"^```(\w*)\s*$")
 LINK_RE = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
+#: One documented schema field: `name: type` or `name: type = default`.
+FIELD_RE = re.compile(r"`(\w+): [^`=]+?(?: = ([^`]+))?`")
 
 
 @dataclass
@@ -209,9 +216,57 @@ def check_links(path: Path) -> list[str]:
 
 
 # ----------------------------------------------------------------------
+def check_schema_tables(path: Path) -> list[str]:
+    """Each spec's table row (first cell `` `kind` ``) names exactly its
+    fields, each default as JSON (absent for a required field)."""
+    from repro import jobspec
+
+    specs = {
+        "grid": jobspec.GridSpec, "scenario": jobspec.ScenarioSpec,
+        **jobspec.JOB_SPECS,
+    }
+    problems = []
+    seen = set()
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        cells = line.split("|")
+        label = re.fullmatch(r"\s*`(\w+)`\s*", cells[1]) if len(cells) > 2 else None
+        if label is None or label.group(1) not in specs:
+            continue
+        kind = label.group(1)
+        seen.add(kind)
+        where = f"{path.name}:{lineno}: {kind}"
+        documented = {name: default for name, default in FIELD_RE.findall(cells[2])}
+        fields = {f.name: f.default for f in dataclasses.fields(specs[kind])}
+        for name in sorted(documented.keys() - fields.keys()):
+            problems.append(f"{where} documents {name!r}, which is not a field")
+        for name in sorted(fields.keys() - documented.keys()):
+            problems.append(f"{where} leaves out the field {name!r}")
+        for name in sorted(documented.keys() & fields.keys()):
+            default, text = fields[name], documented[name]
+            if isinstance(default, tuple):
+                default = list(default)
+            if default is dataclasses.MISSING:
+                spec_says, ok = "required", not text
+            else:
+                spec_says = json.dumps(default)
+                try:
+                    ok = json.loads(text) == default
+                except ValueError:  # not JSON, or documented as required
+                    ok = False
+            if not ok:
+                problems.append(
+                    f"{where} documents {name} as {text or 'required'}, "
+                    f"the spec says {spec_says}"
+                )
+    for kind in sorted(specs.keys() - seen):
+        problems.append(f"{path.name}: no schema row for {kind!r}")
+    return problems
+
+
 def check_all() -> list[str]:
     surface = _cli_surface()
     problems = []
+    problems.extend(check_schema_tables(REPO_ROOT / "docs" / "service.md"))
     for path in doc_files():
         problems.extend(check_links(path))
         for block in iter_code_blocks(path):

@@ -21,7 +21,9 @@ Then exercises the observability surfaces: ``/metrics?format=prometheus``
 must validate against the in-tree exposition checker, a deliberately
 broken job (an mc sweep that varies nothing) must fail AND leave a
 flight-recorder dump plus a servable ``/jobs/<id>/trace``, and every
-response must carry the job's correlation id.
+response must carry the job's correlation id.  An mc job with a field
+its schema does not have must fail naming that field, and the server
+must answer ``/healthz`` after it.
 
 Finishes by checking that SIGINT shuts the server down cleanly.
 
@@ -241,6 +243,19 @@ def main() -> int:
         dumped = json.loads(dumps[0].read_text())
         assert dumped["metrics"]["job"]["state"] == "failed", dumped["metrics"]
 
+        # A field the mc schema does not have fails the job, by name.
+        unknown = call(
+            base, "POST", "/jobs",
+            {
+                "kind": "mc", "grid": "g1",
+                "params": {"samples": 2, "sigma_width": 0.05, "sigma_wdith": 0.1},
+            },
+        )
+        unknown_done = call(base, "GET", f"/jobs/{unknown['id']}?wait=60")
+        assert unknown_done["state"] == "failed", unknown_done
+        assert "'sigma_wdith'" in unknown_done["error"], unknown_done
+        assert call(base, "GET", "/healthz") == {"status": "ok"}
+
         proc.send_signal(signal.SIGINT)
         rc = proc.wait(timeout=30)
         assert rc == 0, f"serve exited with {rc}"
@@ -248,7 +263,8 @@ def main() -> int:
             f"service smoke OK: 1 sensitivity + {BURST} sweeps + 1 mc, "
             f"{coalesced} coalesced columns, 1 factorization, "
             f"keep-alive median {median * 1e3:.2f} ms, malformed input 400, "
-            f"prometheus valid, flight dump on failure, clean shutdown"
+            f"prometheus valid, flight dump on failure, unknown field named, "
+            f"clean shutdown"
         )
         return 0
     finally:
