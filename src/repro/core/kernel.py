@@ -14,7 +14,6 @@ Besides the loop, the setup every engine shares lives here:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -314,133 +313,123 @@ def run_outer_loop(
         When ``config.raise_on_divergence`` is set and a column is still
         above tolerance after ``config.max_outer`` iterations.
     """
-    t_start = time.perf_counter()
     n_pillars, n_cols = v0.shape
-    n_tiers = len(pillars.r_seg)
-    policy = resolve_vda_policy(config.vda, config.eta, pillars.auto_eta)
-    policy.reset((n_pillars, n_cols))
+    with obs.Stopwatch(f"{engine}.solve", columns=n_cols) as solve_sw:
+        n_tiers = len(pillars.r_seg)
+        policy = resolve_vda_policy(config.vda, config.eta, pillars.auto_eta)
+        policy.reset((n_pillars, n_cols))
 
-    # Uninitialized is safe: every column is stored either when it
-    # retires or at loop exit (stragglers) -- and 33 MB+ memsets per
-    # solve are measurable in the transient step loop.
-    voltages = np.empty((n_tiers, op.n, n_cols))
-    phase = dict.fromkeys(PHASES, 0.0)
-    tr = obs.tracer()
-    reg = obs.metrics()
-    residual_series = obs.active_series(f"{engine}.residual")
-    column_counter = f"{engine}.column_solves"
-    history: list[BatchOuterRecord] = []
-    active = np.ones(n_cols, dtype=bool)
-    converged = np.zeros(n_cols, dtype=bool)
-    outer_counts = np.zeros(n_cols, dtype=int)
-    max_f = np.full(n_cols, np.inf)
-    residual_full = np.zeros((n_pillars, n_cols))
-    pillar_currents = np.zeros((n_pillars, n_cols))
-    column_solves = 0
-    outer_iterations = 0
+        # Uninitialized is safe: every column is stored either when it
+        # retires or at loop exit (stragglers) -- and 33 MB+ memsets per
+        # solve are measurable in the transient step loop.
+        voltages = np.empty((n_tiers, op.n, n_cols))
+        phase = dict.fromkeys(PHASES, 0.0)
+        reg = obs.metrics()
+        residual_series = obs.active_series(f"{engine}.residual")
+        column_counter = f"{engine}.column_solves"
+        history: list[BatchOuterRecord] = []
+        active = np.ones(n_cols, dtype=bool)
+        converged = np.zeros(n_cols, dtype=bool)
+        outer_counts = np.zeros(n_cols, dtype=int)
+        max_f = np.full(n_cols, np.inf)
+        residual_full = np.zeros((n_pillars, n_cols))
+        pillar_currents = np.zeros((n_pillars, n_cols))
+        column_solves = 0
+        outer_iterations = 0
 
-    idx = np.flatnonzero(active)
-    fields: list[np.ndarray] = []
-    in_place = False
-    for outer in range(1, config.max_outer + 1):
         idx = np.flatnonzero(active)
-        column_solves += idx.size
-        reg.add(column_counter, int(idx.size))
-        # Full-width iterations assemble straight into the result
-        # buffer, so retirement needs no copy for them.
-        in_place = idx.size == n_cols
-        pillar_v = v0.copy() if in_place else v0[:, idx]
-        cumulative = np.zeros((n_pillars, idx.size))
-        fields = []
-        op.begin(max_f)
+        fields: list[np.ndarray] = []
+        in_place = False
+        for outer in range(1, config.max_outer + 1):
+            idx = np.flatnonzero(active)
+            n_live = int(idx.size)
+            column_solves += n_live
+            reg.add(column_counter, n_live)
+            # Full-width iterations assemble straight into the result
+            # buffer, so retirement needs no copy for them.
+            in_place = n_live == n_cols
+            pillar_v = v0.copy() if in_place else v0[:, idx]
+            cumulative = np.zeros((n_pillars, n_live))
+            fields = []
+            op.begin(max_f)
 
-        for l in range(n_tiers):
-            t0 = time.perf_counter()
-            v_full = op.solve(l, pillar_v, idx, voltages[l] if in_place else None)
-            fields.append(v_full)
-            dt = time.perf_counter() - t0
-            phase["cvn"] += dt
-            if tr.enabled:
-                tr.add_complete(
-                    "cvn", t0, dt, outer=outer, tier=l, columns=int(idx.size)
+            for l in range(n_tiers):
+                with obs.Stopwatch("cvn", outer=outer, tier=l, columns=n_live) as sw:
+                    v_full = op.solve(
+                        l, pillar_v, idx, voltages[l] if in_place else None
+                    )
+                    fields.append(v_full)
+                phase["cvn"] += sw.seconds
+
+                with obs.Stopwatch("tsv", outer=outer, tier=l, columns=n_live) as sw:
+                    cumulative += op.drawn(l, v_full, idx)
+                phase["tsv"] += sw.seconds
+
+                with obs.Stopwatch(None) as sw:
+                    pillar_v = pillar_v + cumulative * narrow_columns(
+                        pillars.r_seg[l], idx
+                    )
+                phase["propagate"] += sw.seconds
+
+            pillar_currents[:, idx] = cumulative
+            if pillars.r_unit is None:
+                residual = target - pillar_v
+            else:
+                residual = np.where(
+                    narrow_columns(pillars.has_pin, idx),
+                    target - pillar_v,
+                    -cumulative * narrow_columns(pillars.r_unit, idx),
                 )
+            residual_full[:, idx] = residual
+            f_active = (
+                np.max(np.abs(residual), axis=0) if n_pillars else np.zeros(n_live)
+            )
+            max_f[idx] = f_active
+            outer_counts[idx] = outer
+            if residual_series is not None:
+                residual_series.append(outer, float(f_active.max()))
 
-            t0 = time.perf_counter()
-            cumulative += op.drawn(l, v_full, idx)
-            dt = time.perf_counter() - t0
-            phase["tsv"] += dt
-            if tr.enabled:
-                tr.add_complete(
-                    "tsv", t0, dt, outer=outer, tier=l, columns=int(idx.size)
+            # Retire freshly converged columns: freeze their fields now
+            # (still-active columns are rewritten every iteration anyway,
+            # so they are only stored on retirement or at loop exit).
+            done = f_active <= config.outer_tol
+            if np.any(done):
+                reg.add(f"{engine}.retirements", int(done.sum()))
+                cols = idx[done]
+                if not in_place:
+                    for l in range(n_tiers):
+                        voltages[l][:, cols] = fields[l][:, done]
+                converged[cols] = True
+                active[cols] = False
+            outer_iterations = outer
+            if record_history:
+                history.append(
+                    BatchOuterRecord(outer, int(active.sum()), max_f.copy())
                 )
+            if not active.any():
+                break
 
-            t0 = time.perf_counter()
-            pillar_v = pillar_v + cumulative * narrow_columns(pillars.r_seg[l], idx)
-            phase["propagate"] += time.perf_counter() - t0
+            with obs.Stopwatch(None) as sw:
+                # Full-width update, masked write-back: retired columns
+                # stay frozen while the policy's per-column state keeps
+                # indexing consistent with the batch layout.
+                v_new = policy.update(v0, residual_full, active=active)
+                live = np.flatnonzero(active)
+                v0[:, live] = v_new[:, live]
+            phase["vda"] += sw.seconds
 
-        pillar_currents[:, idx] = cumulative
-        if pillars.r_unit is None:
-            residual = target - pillar_v
-        else:
-            residual = np.where(
-                narrow_columns(pillars.has_pin, idx),
-                target - pillar_v,
-                -cumulative * narrow_columns(pillars.r_unit, idx),
-            )
-        residual_full[:, idx] = residual
-        f_active = (
-            np.max(np.abs(residual), axis=0) if n_pillars else np.zeros(idx.size)
-        )
-        max_f[idx] = f_active
-        outer_counts[idx] = outer
-        if residual_series is not None:
-            residual_series.append(outer, float(f_active.max()))
+        if active.any() and not in_place:
+            # max_outer exhausted: store the stragglers' last fields
+            # (``fields`` columns follow ``idx`` of the final iteration;
+            # full-width iterations already wrote in place).
+            live = active[idx]
+            cols = np.flatnonzero(active)
+            for l in range(n_tiers):
+                voltages[l][:, cols] = fields[l][:, live]
+        solve_sw.attrs["outer_iterations"] = outer_iterations
+        solve_sw.attrs["converged"] = int(converged.sum())
 
-        # Retire freshly converged columns: freeze their fields now
-        # (still-active columns are rewritten every iteration anyway, so
-        # they are only stored on retirement or at loop exit).
-        done = f_active <= config.outer_tol
-        if np.any(done):
-            reg.add(f"{engine}.retirements", int(done.sum()))
-            cols = idx[done]
-            if not in_place:
-                for l in range(n_tiers):
-                    voltages[l][:, cols] = fields[l][:, done]
-            converged[cols] = True
-            active[cols] = False
-        outer_iterations = outer
-        if record_history:
-            history.append(
-                BatchOuterRecord(outer, int(active.sum()), max_f.copy())
-            )
-        if not active.any():
-            break
-
-        t0 = time.perf_counter()
-        # Full-width update, masked write-back: retired columns stay
-        # frozen while the policy's per-column state keeps indexing
-        # consistent with the batch layout.
-        v_new = policy.update(v0, residual_full, active=active)
-        live = np.flatnonzero(active)
-        v0[:, live] = v_new[:, live]
-        phase["vda"] += time.perf_counter() - t0
-
-    if active.any() and not in_place:
-        # max_outer exhausted: store the stragglers' last fields
-        # (``fields`` columns follow ``idx`` of the final iteration;
-        # full-width iterations already wrote in place).
-        live = active[idx]
-        cols = np.flatnonzero(active)
-        for l in range(n_tiers):
-            voltages[l][:, cols] = fields[l][:, live]
-
-    seconds = time.perf_counter() - t_start
     reg.add(f"{engine}.outer_iterations", outer_iterations)
-    if tr.enabled:
-        tr.add_complete(
-            f"{engine}.solve", t_start, seconds, columns=n_cols,
-            outer_iterations=outer_iterations, converged=int(converged.sum()),
-        )
     if config.raise_on_divergence and not converged.all():
         stragglers = np.flatnonzero(~converged)
         worst = float(max_f.max())
@@ -453,5 +442,5 @@ def run_outer_loop(
         )
     return OuterLoop(
         voltages, converged, outer_counts, max_f, v0, pillar_currents,
-        outer_iterations, column_solves, phase, seconds, history,
+        outer_iterations, column_solves, phase, solve_sw.seconds, history,
     )

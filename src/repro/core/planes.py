@@ -30,9 +30,9 @@ import scipy.sparse as sp
 
 from repro import obs
 from repro.core.tsv import plane_matrices
+from repro.errors import ReproError
 from repro.grid.stack3d import PowerGridStack
 from repro.linalg.direct import CONDENSE_MIN_SHARE, DirectSolver
-from repro.obs.registry import Counter
 
 
 def tier_signature(tier) -> bytes:
@@ -204,12 +204,11 @@ class ReducedPlaneSystem:
         self.jacobi_inv: list[np.ndarray] = []
         self.b_free: list[np.ndarray] = []
         self.b_pillar: list[np.ndarray] = []
-        # Distinct LU factorizations this system performed (0 when
-        # ``factorize=False``) -- the unit the Monte Carlo driver's
-        # refactorization accounting is expressed in.  Kept in a local
-        # instrument read through the ``n_factorizations`` property and
-        # mirrored into the active obs registry.
-        self._factorizations = Counter("planes.factorizations")
+        #: Distinct LU factorizations this system performed (0 when
+        #: ``factorize=False``) -- the unit the Monte Carlo driver's
+        #: refactorization accounting is expressed in; mirrored into the
+        #: active obs registry as ``planes.factorizations``.
+        self.n_factorizations = 0
         tr = obs.tracer()
         cache: dict[int, tuple] = {}
         for l, (matrix, rhs) in enumerate(self.planes):
@@ -224,7 +223,7 @@ class ReducedPlaneSystem:
                     with tr.span("factorize", tier=l, n_free=self.free.size):
                         solver = DirectSolver(a_ff, spd=True)
                     cache[group] = (solver, a_fp, a_p, None)
-                    self._factorizations.add()
+                    self.n_factorizations += 1
                     obs.add("planes.factorizations")
                 else:
                     cache[group] = (a_ff, a_fp, a_p, 1.0 / a_ff.diagonal())
@@ -240,12 +239,6 @@ class ReducedPlaneSystem:
                 self.b_pillar.append(rhs[self.pillar_flat])
 
     # ------------------------------------------------------------------
-    @property
-    def n_factorizations(self) -> int:
-        """Distinct LU factorizations performed (read-through to the
-        local instrument so counter-asserting callers see plain ints)."""
-        return self._factorizations.value
-
     @property
     def n_free(self) -> int:
         return self.free.size
@@ -495,8 +488,8 @@ class PlaneFactorCache:
       sweeping many geometry variants thrashes a too-small cache, and
       this counter is how that shows up in telemetry).
 
-    The counters are read-through properties over local instruments,
-    mirrored into the active :mod:`repro.obs` registry as
+    The counts are plain int attributes, updated under the cache lock
+    and mirrored into the active :mod:`repro.obs` registry as
     ``cache.factorizations`` / ``cache.hits`` / ``cache.misses`` /
     ``cache.evictions`` / ``cache.pinned_overflow`` /
     ``cache.single_flight_waits``; the resident factor footprint is
@@ -532,9 +525,9 @@ class PlaneFactorCache:
 
     def __init__(self, max_entries: int = 8, *, max_bytes: int | None = None):
         if max_entries < 1:
-            raise ValueError("max_entries must be >= 1")
+            raise ReproError(f"max_entries must be >= 1, got {max_entries}")
         if max_bytes is not None and max_bytes < 1:
-            raise ValueError("max_bytes must be >= 1 (or None)")
+            raise ReproError(f"max_bytes must be >= 1 (or None), got {max_bytes}")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self._lock = threading.RLock()
@@ -549,44 +542,21 @@ class PlaneFactorCache:
         #: In-flight factorizations: key -> event the builder sets once
         #: the entry is resident (or the build failed).
         self._building: dict[bytes, threading.Event] = {}
-        self._factorizations = Counter("cache.factorizations")
-        self._hits = Counter("cache.hits")
-        self._misses = Counter("cache.misses")
-        self._evictions = Counter("cache.evictions")
-        self._pinned_overflow = Counter("cache.pinned_overflow")
-        self._single_flight_waits = Counter("cache.single_flight_waits")
+        # Event tallies (see the class docstring).
+        self.factorizations = 0
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+        #: Times the cache went (or stayed) over capacity because every
+        #: eviction candidate was leased.
+        self.pinned_overflow = 0
+        #: Lookups that blocked on another thread's in-flight
+        #: factorization of the same signature instead of building.
+        self.single_flight_waits = 0
         self._factor_bytes = 0
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def factorizations(self) -> int:
-        return self._factorizations.value
-
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
-    @property
-    def pinned_overflow(self) -> int:
-        """Times the cache went (or stayed) over capacity because every
-        eviction candidate was leased."""
-        return self._pinned_overflow.value
-
-    @property
-    def single_flight_waits(self) -> int:
-        """Lookups that blocked on another thread's in-flight
-        factorization of the same signature instead of building."""
-        return self._single_flight_waits.value
 
     @property
     def factor_bytes(self) -> int:
@@ -623,7 +593,7 @@ class PlaneFactorCache:
             with self._lock:
                 system = self._entries.get(key)
                 if system is not None:
-                    self._hits.add()
+                    self.hits += 1
                     obs.add("cache.hits")
                     self._entries.move_to_end(key)
                     if hold:
@@ -634,11 +604,11 @@ class PlaneFactorCache:
                     # This thread builds; peers landing on the same key
                     # block on the event until the entry is resident.
                     self._building[key] = threading.Event()
-                    self._misses.add()
+                    self.misses += 1
                     obs.add("cache.misses")
                     break
-            self._single_flight_waits.add()
-            obs.add("cache.single_flight_waits")
+                self.single_flight_waits += 1
+                obs.add("cache.single_flight_waits")
             in_flight.wait()
             # Loop: normally a hit now; if the entry was already evicted
             # (or the peer's build failed) this thread becomes the builder.
@@ -651,7 +621,7 @@ class PlaneFactorCache:
                 self._building.pop(key).set()  # release waiters to retry
             raise
         with self._lock:
-            self._factorizations.add(system.n_factorizations)
+            self.factorizations += system.n_factorizations
             obs.add("cache.factorizations", system.n_factorizations)
             nbytes = system.memory_bytes
             self._entries[key] = system
@@ -688,12 +658,12 @@ class PlaneFactorCache:
                 # Every evictable entry is leased: one-off geometries
                 # (fresh wire-field draws) churning a fully-held cache
                 # used to grow it silently past max_entries.
-                self._pinned_overflow.add()
+                self.pinned_overflow += 1
                 obs.add("cache.pinned_overflow")
                 break
             self._factor_bytes -= self._entry_bytes.pop(victim)
             del self._entries[victim]
-            self._evictions.add()
+            self.evictions += 1
             obs.add("cache.evictions")
 
     def _release(self, key: bytes) -> None:

@@ -27,8 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import time
-
 import numpy as np
 
 from repro import obs
@@ -261,24 +259,19 @@ class TransientVPSolver:
         for p, (l, i, j) in enumerate(probes):
             probe_wave[0, p] = v[l, i, j]
 
-        tr = obs.tracer()
         reg = obs.metrics()
         outer_counts: list[int] = []
         for k in range(1, n_steps + 1):
             t = k * self.dt
-            t0 = time.perf_counter()
-            loads_t = stimulus(t)
-            companion_loads = [
-                loads - g_cap * v[l]
-                for l, (loads, g_cap) in enumerate(zip(loads_t, self._g_cap))
-            ]
-            self._solver.update_loads(companion_loads)
-            result = self._solver.solve(v0=pillar_seed)
-            reg.add("transient.steps")
-            if tr.enabled:
-                tr.add_complete(
-                    "step.solve", t0, time.perf_counter() - t0, step=k
-                )
+            with obs.Stopwatch("step.solve", step=k):
+                loads_t = stimulus(t)
+                companion_loads = [
+                    loads - g_cap * v[l]
+                    for l, (loads, g_cap) in enumerate(zip(loads_t, self._g_cap))
+                ]
+                self._solver.update_loads(companion_loads)
+                result = self._solver.solve(v0=pillar_seed)
+                reg.add("transient.steps")
             if not result.converged:
                 raise ReproError(
                     f"transient VP step at t={t:.3e}s did not converge"

@@ -486,147 +486,141 @@ class BatchedTransientSolver:
         GridError
             On a bad probe or ``v0`` shape.
         """
-        t_start = time.perf_counter()
-        stack = self.stack
-        config = self.config
-        n_tiers, rows, cols = stack.n_tiers, stack.rows, stack.cols
-        n = rows * cols
-        n_scen = len(self.scenarios)
-        probes = self._check_probes(probes)
-        probe_flat = [(l, i * cols + j) for l, i, j in probes]
+        with obs.Stopwatch("transient.run") as run_sw:
+            stack = self.stack
+            config = self.config
+            n_tiers, rows, cols = stack.n_tiers, stack.rows, stack.cols
+            n = rows * cols
+            n_scen = len(self.scenarios)
+            probes = self._check_probes(probes)
+            probe_flat = [(l, i * cols + j) for l, i, j in probes]
 
-        if t_end <= 0:
-            raise ReproError("t_end must be positive")
-        n_steps = int(np.ceil(t_end / self.dt))
-        times = np.empty(n_steps + 1)
-        times[0] = 0.0
-        worst = np.empty((n_steps + 1, n_scen))
-        probe_wave = np.empty((n_steps + 1, len(probes), n_scen))
-        outer_iters = np.zeros((n_steps, n_scen), dtype=int)
-        settled_step = np.full(n_scen, -1, dtype=int)
-        final_fields = np.empty((n_tiers, n, n_scen))
-        column_steps = 0
+            if t_end <= 0:
+                raise ReproError("t_end must be positive")
+            n_steps = int(np.ceil(t_end / self.dt))
+            run_sw.attrs.update(steps=n_steps, scenarios=n_scen, groups=self.n_groups)
+            times = np.empty(n_steps + 1)
+            times[0] = 0.0
+            worst = np.empty((n_steps + 1, n_scen))
+            probe_wave = np.empty((n_steps + 1, len(probes), n_scen))
+            outer_iters = np.zeros((n_steps, n_scen), dtype=int)
+            settled_step = np.full(n_scen, -1, dtype=int)
+            final_fields = np.empty((n_tiers, n, n_scen))
+            column_steps = 0
 
-        # ------------------------------------------------------------------
-        # t = 0: per-group DC operating point (or the caller's v0).
-        if v0 is not None:
-            v0 = np.asarray(v0, dtype=float)
-            if v0.shape == (n_tiers, rows, cols):
-                v0 = np.repeat(v0[..., None], n_scen, axis=3)
-            if v0.shape != (n_tiers, rows, cols, n_scen):
-                raise GridError(
-                    f"v0 shape {v0.shape} != {(n_tiers, rows, cols)} or "
-                    f"{(n_tiers, rows, cols, n_scen)}"
-                )
-        for group in self.groups:
-            cols_g = group.active_columns
-            if v0 is None:
-                loads0 = group.loads_at(0.0)
-                group.dc_solver.set_rhs(
-                    [
-                        group.pad_dc[l][:, None] - loads0[l]
-                        for l in range(n_tiers)
-                    ]
-                )
-                seed = None
-                if config.v0_init == "loadshare" and stack.pillars.count:
-                    # The stripped scenarios carry load_scale 1, so the
-                    # solver's own loadshare seed would miss the corner
-                    # scales; feed it the actual t=0 column totals
-                    # (column-contiguous sums match the sequential
-                    # solver's per-tier sums bitwise).
-                    totals = np.stack(
+            # ------------------------------------------------------------------
+            # t = 0: per-group DC operating point (or the caller's v0).
+            if v0 is not None:
+                v0 = np.asarray(v0, dtype=float)
+                if v0.shape == (n_tiers, rows, cols):
+                    v0 = np.repeat(v0[..., None], n_scen, axis=3)
+                if v0.shape != (n_tiers, rows, cols, n_scen):
+                    raise GridError(
+                        f"v0 shape {v0.shape} != {(n_tiers, rows, cols)} or "
+                        f"{(n_tiers, rows, cols, n_scen)}"
+                    )
+            for group in self.groups:
+                cols_g = group.active_columns
+                if v0 is None:
+                    loads0 = group.loads_at(0.0)
+                    group.dc_solver.set_rhs(
                         [
-                            np.asfortranarray(loads0[l]).sum(axis=0)
+                            group.pad_dc[l][:, None] - loads0[l]
                             for l in range(n_tiers)
                         ]
                     )
-                    seed = loadshare_v0(
-                        stack.v_pin,
-                        group.dc_solver.r_seg,
-                        totals,
-                        stack.pillars.count,
+                    seed = None
+                    if config.v0_init == "loadshare" and stack.pillars.count:
+                        # The stripped scenarios carry load_scale 1, so the
+                        # solver's own loadshare seed would miss the corner
+                        # scales; feed it the actual t=0 column totals
+                        # (column-contiguous sums match the sequential
+                        # solver's per-tier sums bitwise).
+                        totals = np.stack(
+                            [
+                                np.asfortranarray(loads0[l]).sum(axis=0)
+                                for l in range(n_tiers)
+                            ]
+                        )
+                        seed = loadshare_v0(
+                            stack.v_pin,
+                            group.dc_solver.r_seg,
+                            totals,
+                            stack.pillars.count,
+                        )
+                    dc_res = group.dc_solver.solve(v0=seed)
+                    group.v = dc_res.voltages.reshape(n_tiers, n, cols_g.size)
+                    group.pillar_seed = dc_res.pillar_v0
+                else:
+                    group.v = np.ascontiguousarray(
+                        v0.reshape(n_tiers, n, n_scen)[:, :, cols_g]
                     )
-                dc_res = group.dc_solver.solve(v0=seed)
-                group.v = dc_res.voltages.reshape(n_tiers, n, cols_g.size)
-                group.pillar_seed = dc_res.pillar_v0
-            else:
-                group.v = np.ascontiguousarray(
-                    v0.reshape(n_tiers, n, n_scen)[:, :, cols_g]
-                )
-                group.pillar_seed = None
-            worst[0, cols_g] = group.v.min(axis=(0, 1))
-            for p, (l, flat) in enumerate(probe_flat):
-                probe_wave[0, p, cols_g] = group.v[l, flat]
-
-        # ------------------------------------------------------------------
-        # Backward-Euler steps.
-        tr = obs.tracer()
-        reg = obs.metrics()
-        for k in range(1, n_steps + 1):
-            t = k * self.dt
-            times[k] = t
-            for group in self.groups:
-                if not group.active.size:
-                    continue
-                cols_g = group.active_columns
-                column_steps += cols_g.size
-                reg.add("transient.column_steps", int(cols_g.size))
-                t0s = time.perf_counter()
-                group.comp_solver.set_rhs(group.step_rhs(group.loads_at(t)))
-                res = group.comp_solver.solve(v0=group.pillar_seed)
-                if tr.enabled:
-                    tr.add_complete(
-                        "step.solve", t0s, time.perf_counter() - t0s,
-                        step=k, scenarios=int(cols_g.size),
-                    )
-                self._raise_diverged(
-                    res, [self.scenarios[c].name for c in cols_g], t
-                )
-                v_prev = group.v
-                group.v = res.voltages.reshape(n_tiers, n, cols_g.size)
-                group.pillar_seed = res.pillar_v0
-                outer_iters[k - 1, cols_g] = res.outer_iterations
-                worst[k, cols_g] = group.v.min(axis=(0, 1))
+                    group.pillar_seed = None
+                worst[0, cols_g] = group.v.min(axis=(0, 1))
                 for p, (l, flat) in enumerate(probe_flat):
-                    probe_wave[k, p, cols_g] = group.v[l, flat]
+                    probe_wave[0, p, cols_g] = group.v[l, flat]
 
-                if config.settle_tol > 0 and k < n_steps:
-                    delta = np.abs(group.v - v_prev).max(axis=(0, 1))
-                    quiet = (delta <= config.settle_tol) & group.settles_by(t)
-                    group.settle_count = np.where(
-                        quiet, group.settle_count + 1, 0
+            # ------------------------------------------------------------------
+            # Backward-Euler steps.
+            reg = obs.metrics()
+            for k in range(1, n_steps + 1):
+                t = k * self.dt
+                times[k] = t
+                for group in self.groups:
+                    if not group.active.size:
+                        continue
+                    cols_g = group.active_columns
+                    column_steps += cols_g.size
+                    reg.add("transient.column_steps", int(cols_g.size))
+                    with obs.Stopwatch(
+                        "step.solve", step=k, scenarios=int(cols_g.size)
+                    ):
+                        group.comp_solver.set_rhs(
+                            group.step_rhs(group.loads_at(t))
+                        )
+                        res = group.comp_solver.solve(v0=group.pillar_seed)
+                    self._raise_diverged(
+                        res, [self.scenarios[c].name for c in cols_g], t
                     )
-                    retire = group.settle_count >= config.settle_window
-                    if np.any(retire):
-                        reg.add("transient.retirements", int(retire.sum()))
-                        retired_cols = cols_g[retire]
-                        settled_step[retired_cols] = k
-                        worst[k + 1 :, retired_cols] = worst[k, retired_cols]
-                        probe_wave[k + 1 :, :, retired_cols] = probe_wave[
-                            k : k + 1, :, retired_cols
-                        ]
-                        final_fields[:, :, retired_cols] = group.v[:, :, retire]
-                        group.narrow(~retire)
+                    v_prev = group.v
+                    group.v = res.voltages.reshape(n_tiers, n, cols_g.size)
+                    group.pillar_seed = res.pillar_v0
+                    outer_iters[k - 1, cols_g] = res.outer_iterations
+                    worst[k, cols_g] = group.v.min(axis=(0, 1))
+                    for p, (l, flat) in enumerate(probe_flat):
+                        probe_wave[k, p, cols_g] = group.v[l, flat]
 
-        for group in self.groups:
-            if group.active.size:
-                final_fields[:, :, group.active_columns] = group.v
+                    if config.settle_tol > 0 and k < n_steps:
+                        delta = np.abs(group.v - v_prev).max(axis=(0, 1))
+                        quiet = (delta <= config.settle_tol) & group.settles_by(t)
+                        group.settle_count = np.where(
+                            quiet, group.settle_count + 1, 0
+                        )
+                        retire = group.settle_count >= config.settle_window
+                        if np.any(retire):
+                            reg.add("transient.retirements", int(retire.sum()))
+                            retired_cols = cols_g[retire]
+                            settled_step[retired_cols] = k
+                            worst[k + 1 :, retired_cols] = worst[k, retired_cols]
+                            probe_wave[k + 1 :, :, retired_cols] = probe_wave[
+                                k : k + 1, :, retired_cols
+                            ]
+                            final_fields[:, :, retired_cols] = group.v[:, :, retire]
+                            group.narrow(~retire)
+
+            for group in self.groups:
+                if group.active.size:
+                    final_fields[:, :, group.active_columns] = group.v
 
         stats = BatchedTransientStats(
             setup_seconds=self._setup_seconds,
-            solve_seconds=time.perf_counter() - t_start,
+            solve_seconds=run_sw.seconds,
             n_steps=n_steps,
             n_groups=self.n_groups,
             factorizations=self.n_factorizations,
             column_steps=column_steps,
         )
         reg.add("transient.steps", n_steps)
-        if tr.enabled:
-            tr.add_complete(
-                "transient.run", t_start, stats.solve_seconds,
-                steps=n_steps, scenarios=n_scen, groups=self.n_groups,
-            )
         return BatchedTransientResult(
             times=times,
             worst_voltage=worst,

@@ -143,13 +143,3 @@ class TridiagonalCholesky:
             np.asarray(diag, dtype=float).tobytes(),
             np.asarray(off, dtype=float).tobytes(),
         )
-
-
-def row_matrix_signature(diag: np.ndarray, off: np.ndarray) -> bytes:
-    """Hashable signature of a row's tridiagonal matrix; rows sharing a
-    signature share one :class:`TridiagonalCholesky` factor."""
-    return (
-        np.asarray(diag, dtype=float).tobytes()
-        + b"|"
-        + np.asarray(off, dtype=float).tobytes()
-    )

@@ -8,10 +8,12 @@ Public surface (see docs/observability.md):
   service attributes work to jobs); :func:`current_global` reaches past
   the overlay to the process-wide session.
 * :class:`MetricsRegistry` instruments via :func:`add`,
-  :func:`set_gauge`, :func:`observe`, :func:`observe_bucket`,
-  :func:`add_labeled`, :func:`record_series`, :func:`active_series`.
-* :func:`span` / :class:`Stopwatch` for timing; engines with existing
-  ``perf_counter`` phase math use ``tracer().add_complete``.
+  :func:`set_gauge`, :func:`observe_bucket`, :func:`add_labeled` and
+  :func:`active_series`: counters, gauges, labeled counters, bucket
+  histograms and convergence series.
+* :class:`Stopwatch` is the one timer for an interval an engine
+  reports (``.seconds``, plus a span when tracing); :func:`span` marks
+  trace-only blocks.
 * :mod:`repro.obs.export` -- Chrome trace-event JSON (Perfetto, one lane
   per recording thread), flat CSV round-trip, and :func:`span_summary`
   self-time aggregation.
@@ -41,9 +43,7 @@ from repro.obs.registry import (
     BucketHistogram,
     Counter,
     Gauge,
-    Histogram,
     LabeledCounter,
-    LabeledGauge,
     MetricsRegistry,
     Series,
     snapshot_delta,
@@ -57,9 +57,7 @@ from repro.obs.session import (
     add_labeled,
     current_global,
     metrics,
-    observe,
     observe_bucket,
-    record_series,
     scoped,
     session,
     set_gauge,
@@ -76,10 +74,8 @@ __all__ = [
     "Counter",
     "FlightRecorder",
     "Gauge",
-    "Histogram",
     "JsonLogger",
     "LabeledCounter",
-    "LabeledGauge",
     "MetricsRegistry",
     "Series",
     "SpanEvent",
@@ -93,10 +89,8 @@ __all__ = [
     "chrome_trace",
     "current_global",
     "metrics",
-    "observe",
     "observe_bucket",
     "read_csv_trace",
-    "record_series",
     "render_profile",
     "render_prometheus",
     "scoped",

@@ -2,7 +2,7 @@
 
 Turns one telemetry session (spans + metrics) into the human-readable
 summary the CLI prints: a span table ordered by self time, then the
-counter/gauge/histogram tallies.
+counters, gauges, latency histograms and convergence series.
 """
 
 from __future__ import annotations
@@ -43,17 +43,6 @@ def render_profile(tel: Telemetry) -> str:
     if reg.gauges:
         rows = [[name, g.value] for name, g in sorted(reg.gauges.items())]
         sections.append("gauges\n" + ascii_table(["gauge", "value"], rows))
-    if reg.histograms:
-        rows = [
-            [name, h.count, h.mean, h.min, h.max]
-            for name, h in sorted(reg.histograms.items())
-            if h.count
-        ]
-        if rows:
-            sections.append(
-                "histograms\n"
-                + ascii_table(["histogram", "count", "mean", "min", "max"], rows)
-            )
     if reg.bucket_histograms:
         rows = []
         for name, family in sorted(reg.bucket_histograms.items()):

@@ -5,10 +5,7 @@ into the plain-text format every Prometheus-compatible scraper ingests:
 
 * counters  -> ``repro_<name>_total``          (TYPE counter)
 * gauges    -> ``repro_<name>``                (TYPE gauge)
-* scalar histograms -> ``_count``/``_sum``     (TYPE summary; the
-  bucket-free :class:`~repro.obs.registry.Histogram` carries no
-  distribution, only the running count/total)
-* labeled counters/gauges -> one sample per label combination
+* labeled counters -> one sample per label combination
 * bucket histograms -> the full ``_bucket{le=...}`` ladder with the
   ``+Inf`` bucket, ``_sum`` and ``_count``    (TYPE histogram)
 
@@ -103,20 +100,6 @@ def render_prometheus(snapshot: dict, extra_gauges: dict | None = None) -> str:
         metric = _metric_name(name)
         lines.append(f"# TYPE {metric} gauge")
         lines.append(f"{metric} {_fmt_value(gauges[name])}")
-
-    for name, family in sorted(snapshot.get("labeled_gauges", {}).items()):
-        metric = _metric_name(name)
-        lines.append(f"# TYPE {metric} gauge")
-        for key, value in sorted(family["series"].items()):
-            block = _labels_block(family["labels"], json.loads(key))
-            lines.append(f"{metric}{block} {_fmt_value(value)}")
-
-    for name in sorted(snapshot.get("histograms", {})):
-        summary = snapshot["histograms"][name]
-        metric = _metric_name(name)
-        lines.append(f"# TYPE {metric} summary")
-        lines.append(f"{metric}_count {_fmt_value(summary['count'])}")
-        lines.append(f"{metric}_sum {_fmt_value(summary['total'])}")
 
     for name, family in sorted(snapshot.get("bucket_histograms", {}).items()):
         metric = _metric_name(name)

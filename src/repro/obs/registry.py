@@ -1,4 +1,4 @@
-"""Metrics registry: named counters, gauges, histograms, and series.
+"""Metrics registry: named counters, gauges, bucket histograms, and series.
 
 The quantities every engine in the tree keeps ad-hoc today --
 factorization counts, cache hit/miss tallies, multi-RHS columns solved,
@@ -9,13 +9,13 @@ the bench harness) can snapshot the whole run in one call.
 On top of the scalar instruments the registry carries the two shapes a
 scrapeable service needs (see :mod:`repro.obs.promexport`):
 
-* **labeled families** (:class:`LabeledCounter`, :class:`LabeledGauge`)
-  -- one name, many children keyed by a tuple of label values, e.g.
+* **labeled counters** (:class:`LabeledCounter`) -- one name, many
+  children keyed by a tuple of label values, e.g.
   ``serve.jobs_total{state="done"}``;
-* **fixed-bucket histograms** (:class:`BucketHistogram`) -- cumulative
-  latency distributions over a fixed upper-bound ladder, the shape
-  Prometheus histograms and latency SLO math expect, optionally
-  labeled.
+* **fixed-bucket histograms** (:class:`BucketHistogram`) -- the one
+  histogram: a latency distribution over a fixed upper-bound ladder
+  (plus count, sum, min and max), the shape Prometheus histograms and
+  latency SLO math expect, optionally labeled.
 
 Design constraints, in order:
 
@@ -25,7 +25,8 @@ Design constraints, in order:
   are scalar attribute writes -- no per-event object allocation -- so the
   engines report unconditionally.  Only :class:`Series` (per-iteration
   convergence traces) grows with the workload, which is why the session
-  layer gates series recording behind an explicit flag.  Bucket
+  layer gates series capture behind an explicit flag (engines append
+  through the handle :func:`repro.obs.active_series` returns).  Bucket
   histograms are fixed-size arrays -- memory is bounded by the bucket
   ladder, not the observation count.
 * **Countable.**  ``ops`` tallies every update the registry absorbed;
@@ -36,9 +37,9 @@ Design constraints, in order:
   (:meth:`MetricsRegistry.add` and friends) and :meth:`snapshot` take a
   lock: engines running on a service's worker pool all report into the
   shared default registry, and an unlocked ``value += n`` is a
-  read-modify-write that loses updates under preemption.  Direct
-  instrument handles (``Counter.add`` on a locally owned counter)
-  remain lock-free -- owners serialize access themselves.
+  read-modify-write that loses updates under preemption.  Instrument
+  handles (``Series.append`` on an :func:`~repro.obs.active_series`
+  handle) remain lock-free -- one solve appends to its own series.
 * **Forwardable.**  A registry can mirror its one-call updates into a
   parent (``forward_to``): the service runs each job inside its own
   registry for per-job attribution while the process-wide registry --
@@ -85,47 +86,6 @@ class Gauge:
 
     def set(self, value: float) -> None:
         self.value = float(value)
-
-
-class Histogram:
-    """Streaming scalar distribution: count/total/min/max (``observe``).
-
-    Deliberately bucket-free -- the summaries the profile table needs
-    (count, mean, extremes) come from four scalars, and per-observation
-    cost stays allocation-free.  For scrapeable latency distributions
-    use :class:`BucketHistogram`.
-    """
-
-    __slots__ = ("name", "count", "total", "min", "max")
-
-    def __init__(self, name: str):
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def summary(self) -> dict:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-        }
 
 
 class BucketHistogram:
@@ -196,8 +156,6 @@ class _LabeledFamily:
 
     __slots__ = ("name", "labelnames", "children")
 
-    child_factory = None  # set by subclasses
-
     def __init__(self, name: str, labelnames: tuple):
         self.name = name
         self.labelnames = tuple(str(n) for n in labelnames)
@@ -219,13 +177,6 @@ class LabeledCounter(_LabeledFamily):
 
     def _make_child(self) -> Counter:
         return Counter(self.name)
-
-
-class LabeledGauge(_LabeledFamily):
-    __slots__ = ()
-
-    def _make_child(self) -> Gauge:
-        return Gauge(self.name)
 
 
 class LabeledBucketHistogram(_LabeledFamily):
@@ -276,12 +227,10 @@ class MetricsRegistry:
     def __init__(self):
         self.counters: dict[str, Counter] = {}
         self.gauges: dict[str, Gauge] = {}
-        self.histograms: dict[str, Histogram] = {}
         self.bucket_histograms: dict[str, LabeledBucketHistogram] = {}
         self.labeled_counters: dict[str, LabeledCounter] = {}
-        self.labeled_gauges: dict[str, LabeledGauge] = {}
         self.series_store: dict[str, Series] = {}
-        #: Updates absorbed (any instrument) -- the unit the disabled-mode
+        #: One-call updates absorbed -- the unit the disabled-mode
         #: overhead bound is expressed in.
         self.ops = 0
         #: Optional parent registry mirroring every one-call update (the
@@ -305,12 +254,6 @@ class MetricsRegistry:
             instrument = self.gauges[name] = Gauge(name)
         return instrument
 
-    def histogram(self, name: str) -> Histogram:
-        instrument = self.histograms.get(name)
-        if instrument is None:
-            instrument = self.histograms[name] = Histogram(name)
-        return instrument
-
     def bucket_histogram(
         self,
         name: str,
@@ -328,14 +271,6 @@ class MetricsRegistry:
         instrument = self.labeled_counters.get(name)
         if instrument is None:
             instrument = self.labeled_counters[name] = LabeledCounter(
-                name, tuple(labelnames)
-            )
-        return instrument
-
-    def labeled_gauge(self, name: str, labelnames: tuple) -> LabeledGauge:
-        instrument = self.labeled_gauges.get(name)
-        if instrument is None:
-            instrument = self.labeled_gauges[name] = LabeledGauge(
                 name, tuple(labelnames)
             )
         return instrument
@@ -361,26 +296,12 @@ class MetricsRegistry:
         if self.forward_to is not None:
             self.forward_to.set_gauge(name, value)
 
-    def observe(self, name: str, value: float) -> None:
-        with self._lock:
-            self.ops += 1
-            self.histogram(name).observe(value)
-        if self.forward_to is not None:
-            self.forward_to.observe(name, value)
-
     def add_labeled(self, name: str, labels: dict, n: int = 1) -> None:
         with self._lock:
             self.ops += 1
             self.labeled_counter(name, tuple(labels)).labels(**labels).add(n)
         if self.forward_to is not None:
             self.forward_to.add_labeled(name, labels, n)
-
-    def set_gauge_labeled(self, name: str, labels: dict, value: float) -> None:
-        with self._lock:
-            self.ops += 1
-            self.labeled_gauge(name, tuple(labels)).labels(**labels).set(value)
-        if self.forward_to is not None:
-            self.forward_to.set_gauge_labeled(name, labels, value)
 
     def observe_bucket(
         self,
@@ -397,13 +318,6 @@ class MetricsRegistry:
         if self.forward_to is not None:
             self.forward_to.observe_bucket(name, value, labels, buckets)
 
-    def record(self, name: str, step: float, value: float) -> None:
-        with self._lock:
-            self.ops += 1
-            self.series(name).append(step, value)
-        if self.forward_to is not None:
-            self.forward_to.record(name, step, value)
-
     # -- snapshots -------------------------------------------------------
     def snapshot(self, *, include_series: bool = False) -> dict:
         """Plain-dict view of every instrument (JSON-ready).  Taken
@@ -416,9 +330,6 @@ class MetricsRegistry:
             snap: dict = {
                 "counters": {k: c.value for k, c in self.counters.items()},
                 "gauges": {k: g.value for k, g in self.gauges.items()},
-                "histograms": {
-                    k: h.summary() for k, h in self.histograms.items()
-                },
             }
             if self.labeled_counters:
                 snap["labeled_counters"] = {
@@ -430,17 +341,6 @@ class MetricsRegistry:
                         },
                     }
                     for k, f in self.labeled_counters.items()
-                }
-            if self.labeled_gauges:
-                snap["labeled_gauges"] = {
-                    k: {
-                        "labels": list(f.labelnames),
-                        "series": {
-                            _series_key(key): child.value
-                            for key, child in f.children.items()
-                        },
-                    }
-                    for k, f in self.labeled_gauges.items()
                 }
             if self.bucket_histograms:
                 snap["bucket_histograms"] = {
@@ -479,9 +379,10 @@ def _delta_bucket_series(after: dict, before: dict) -> dict:
 def snapshot_delta(before: dict, after: dict) -> dict:
     """What happened between two :meth:`MetricsRegistry.snapshot` calls.
 
-    Counters and histogram count/total are differenced; gauges and
-    histogram extremes take their final value.  Labeled counters and
-    bucket histograms are differenced per label series.  This is what
+    Counters are differenced; gauges take their final value.  Labeled
+    counters and bucket histograms are differenced per label series
+    (count, sum and bucket counts; the extremes take their final
+    value).  This is what
     the bench harness embeds per test: the test's own metric activity,
     not the process-lifetime accumulation.
     """
@@ -489,24 +390,9 @@ def snapshot_delta(before: dict, after: dict) -> dict:
         name: value - before.get("counters", {}).get(name, 0)
         for name, value in after.get("counters", {}).items()
     }
-    histograms = {}
-    for name, summary in after.get("histograms", {}).items():
-        prior = before.get("histograms", {}).get(
-            name, {"count": 0, "total": 0.0}
-        )
-        count = summary["count"] - prior["count"]
-        total = summary["total"] - prior["total"]
-        histograms[name] = {
-            "count": count,
-            "total": total,
-            "mean": total / count if count else 0.0,
-            "min": summary["min"],
-            "max": summary["max"],
-        }
     delta = {
         "counters": {k: v for k, v in counters.items() if v},
         "gauges": dict(after.get("gauges", {})),
-        "histograms": {k: v for k, v in histograms.items() if v["count"]},
     }
 
     labeled = {}

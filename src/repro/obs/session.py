@@ -24,12 +24,17 @@ Two stacks, two scopes:
 
 Engines follow one idiom::
 
-    tr = obs.tracer()          # hoisted once per solve, not per step
-    reg = obs.metrics()
+    reg = obs.metrics()                            # hoisted once per solve
     ...
-    reg.add("batch.column_solves", idx.size)      # always-on scalar
-    if tr.enabled:                                 # bulk span recording
-        tr.add_complete("cvn", t0, dt, tier=l)
+    reg.add("batch.column_solves", idx.size)       # always-on scalar
+    with obs.Stopwatch("cvn", tier=l) as sw:       # timed; a span when tracing
+        v = op.solve(l, ...)
+    phase["cvn"] += sw.seconds
+
+:class:`Stopwatch` is the one timer for an interval an engine reports:
+it always measures ``.seconds`` and records the span only when the
+active tracer is enabled.  ``Stopwatch(None)`` times a block that has
+no span.  Blocks that are only ever traced use ``obs.span(...)``.
 
 Series capture is the exception: it allocates per iteration, so inner
 solvers hoist ``series = obs.active_series("cg.residual")`` and append
@@ -137,22 +142,12 @@ def set_gauge(name: str, value: float) -> None:
     active().registry.set_gauge(name, value)
 
 
-def observe(name: str, value: float) -> None:
-    active().registry.observe(name, value)
-
-
 def observe_bucket(name: str, value: float, labels: dict | None = None) -> None:
     active().registry.observe_bucket(name, value, labels)
 
 
 def add_labeled(name: str, labels: dict, n: int = 1) -> None:
     active().registry.add_labeled(name, labels, n)
-
-
-def record_series(name: str, step: float, value: float) -> None:
-    tel = active()
-    if tel.series_enabled:
-        tel.registry.record(name, step, value)
 
 
 def active_series(name: str) -> Series | None:
@@ -168,16 +163,19 @@ def active_series(name: str) -> Series | None:
 
 
 class Stopwatch:
-    """Context manager timing a block into ``.seconds``.
+    """``with obs.Stopwatch(name, **attrs) as sw:`` -- time a block.
 
-    Always measures (callers read ``.seconds`` afterwards); additionally
-    records a span when the active tracer is enabled, so bench phases
-    show up in profiles.
+    Always measures: ``.seconds`` holds the block's duration after it
+    exits, also when it raised.  When ``name`` is not None and the
+    active tracer is enabled, the block is also recorded as a span with
+    ``attrs``; an attribute known only at the end of the block can be
+    set on ``sw.attrs`` inside it.  ``Stopwatch(None)`` times a block
+    without a span.
     """
 
     __slots__ = ("name", "attrs", "seconds", "_t0")
 
-    def __init__(self, name: str = "timed", **attrs):
+    def __init__(self, name: str | None, **attrs):
         self.name = name
         self.attrs = attrs
         self.seconds = 0.0
@@ -188,7 +186,8 @@ class Stopwatch:
 
     def __exit__(self, *exc):
         self.seconds = time.perf_counter() - self._t0
-        tr = active().tracer
-        if tr.enabled:
-            tr.add_complete(self.name, self._t0, self.seconds, **self.attrs)
+        if self.name is not None:
+            tr = active().tracer
+            if tr.enabled:
+                tr.add_complete(self.name, self._t0, self.seconds, **self.attrs)
         return False

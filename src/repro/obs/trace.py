@@ -2,12 +2,14 @@
 
 Two recording styles, one event shape:
 
-* ``with tracer.span("factorize", tier=l):`` -- the context-manager form
-  for code whose control flow tolerates a ``with`` block.
-* ``tracer.add_complete("cvn", t0, dt, tier=l)`` -- the flat form for
-  hot solver loops that already keep ``perf_counter`` phase timing;
-  they report the (start, duration) pair they measured anyway, with no
-  indentation changes to the numeric code.
+* ``with tracer.span("factorize", tier=l):`` -- for blocks that are
+  only ever traced; it costs nothing when tracing is off.
+* ``tracer.add_complete("cvn", t0, dt, tier=l)`` -- records an interval
+  someone already measured.  :class:`~repro.obs.session.Stopwatch`, the
+  one timer for intervals an engine also reports as a number
+  (``with obs.Stopwatch("cvn", tier=l) as sw: ...; phase += sw.seconds``),
+  records its span this way, and so does the service's fan-out of one
+  batch measurement into one span per coalesced job.
 
 Both append a :class:`SpanEvent` carrying absolute start, duration, and
 the **recording thread's id**.  Within one thread all spans share one
@@ -25,9 +27,7 @@ share a tracer (and a ``--profile`` session can absorb worker-thread
 spans) without tearing the event list.  The *disabled* path takes no
 lock: :meth:`Tracer.span` returns the shared :data:`NULL_SPAN`
 singleton and :meth:`Tracer.add_complete` returns immediately -- no
-per-event allocation when nobody is watching.  Engines additionally
-hoist ``tr = obs.tracer()`` and guard bulk instrumentation with
-``if tr.enabled:`` so the disabled cost is one attribute read.
+per-event allocation when nobody is watching.
 """
 
 from __future__ import annotations

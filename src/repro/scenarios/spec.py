@@ -438,20 +438,6 @@ class ScenarioSet(Sequence):
             [r_seg * s.r_seg_factors(r_seg) for s in self.scenarios], axis=2
         )
 
-    def cap_scale_matrix(self, n_tiers: int) -> np.ndarray:
-        """``(T, S)`` per-tier decap multipliers, one column per scenario
-        (all ones for sweeps that never touch decap)."""
-        return np.column_stack(
-            [s.tier_cap_scales(n_tiers) for s in self.scenarios]
-        )
-
-    def activity_vector(self, t: float) -> np.ndarray:
-        """``(S,)`` stimulus activity multipliers at time ``t`` (1 for
-        scenarios without a stimulus)."""
-        return np.array(
-            [s.activity_at(t) for s in self.scenarios], dtype=float
-        )
-
     def describe(self) -> list[dict]:
         """Per-scenario flat records (see :meth:`Scenario.describe`)."""
         return [s.describe() for s in self.scenarios]

@@ -47,6 +47,7 @@ dump a flight-recorder Chrome trace when ``flight_dump_dir`` is set.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -105,6 +106,17 @@ class ServiceConfig:
             raise ReproError("batch_window must be >= 0")
         if self.flight_capacity < 1:
             raise ReproError("flight_capacity must be >= 1")
+        if self.default_timeout is not None:
+            _check_timeout(self.default_timeout, "default_timeout")
+
+
+def _check_timeout(timeout: float, field: str) -> None:
+    """A job timeout must be a positive, finite number of seconds (a
+    job given 0 or less could only ever fail)."""
+    if not (math.isfinite(timeout) and timeout > 0):
+        raise ReproError(
+            f"{field!r} must be a positive number of seconds, got {timeout!r}"
+        )
 
 
 def _sweep_coalesce_key(grid: str, params: dict) -> tuple:
@@ -241,6 +253,8 @@ class GridAnalysisService:
         key = _sweep_coalesce_key(grid, params) if kind == "sweep" else None
         if timeout is None:
             timeout = self.config.default_timeout
+        else:
+            _check_timeout(timeout, "timeout")
         return self.queue.submit(
             kind, grid, params, timeout=timeout, coalesce_key=key
         )
@@ -338,7 +352,7 @@ class GridAnalysisService:
                 profile_tracer.extend(events, names)
             for job in batch:
                 self.queue.attach_spans(job, events, names)
-            obs.observe("serve.job_seconds", dt)
+            obs.observe_bucket("serve.job_seconds", dt)
         # Jobs turn terminal only now, with their spans in the flight
         # ring and attached: waiters wake on the transition and may read
         # the trace or the failure dump at once.  Coalesced riders are
@@ -535,7 +549,6 @@ class GridAnalysisService:
             "uptime_seconds": time.time() - self.started_at,
             "counters": snap["counters"],
             "gauges": snap["gauges"],
-            "histograms": snap["histograms"],
             "flight": {
                 "capacity": self.flight.capacity,
                 "size": len(self.flight),
@@ -560,7 +573,7 @@ class GridAnalysisService:
             },
             "grids": self.grids(),
         }
-        for section in ("labeled_counters", "labeled_gauges", "bucket_histograms"):
+        for section in ("labeled_counters", "bucket_histograms"):
             if section in snap:
                 out[section] = snap[section]
         return out

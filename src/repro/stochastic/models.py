@@ -233,11 +233,6 @@ class VariationSpec:
                 "a VariationSpec needs at least one variation source"
             )
 
-    @property
-    def varies_planes(self) -> bool:
-        """True when draws can change the plane matrices (wire fields)."""
-        return self.wire is not None and self.wire.active
-
     def describe(self) -> dict:
         """Flat record for reports."""
         record: dict = {"spec": self.name}

@@ -196,7 +196,6 @@ def run_monte_carlo(
         stats.setup_seconds = time.perf_counter() - t_setup
 
         t_solve = time.perf_counter()
-        tr = obs.tracer()
         reg = obs.metrics()
 
         def solve_group(
@@ -205,15 +204,11 @@ def run_monte_carlo(
             planes,
         ) -> None:
             scenarios = [draw.scenario() for draw in group]
-            t0 = time.perf_counter()
-            solver = BatchedVPSolver(
-                group_stack, scenarios, batched_config, planes=planes
-            )
-            result = solver.solve()
-            if tr.enabled:
-                tr.add_complete(
-                    "mc.batch", t0, time.perf_counter() - t0, samples=len(group)
+            with obs.Stopwatch("mc.batch", samples=len(group)):
+                solver = BatchedVPSolver(
+                    group_stack, scenarios, batched_config, planes=planes
                 )
+                result = solver.solve()
             drops = _drop_fields(result.voltages, stack.v_pin)
             field_stats.update_batch(drops)
             flat_worst = drops.reshape(-1, len(group)).max(axis=0)

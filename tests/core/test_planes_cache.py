@@ -30,6 +30,7 @@ import pytest
 
 from repro import obs
 from repro.core.planes import PlaneFactorCache, stack_plane_signature
+from repro.errors import ReproError
 from repro.grid.generators import synthesize_stack
 from repro.obs.registry import MetricsRegistry
 
@@ -40,9 +41,9 @@ def stack_for(side: int):
 
 class TestConstruction:
     def test_rejects_bad_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ReproError, match="max_entries"):
             PlaneFactorCache(max_entries=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ReproError, match="max_bytes"):
             PlaneFactorCache(max_bytes=0)
 
     def test_same_geometry_different_loads_is_a_hit(self):
@@ -342,7 +343,7 @@ class TestRegistryThreadSafety:
             barrier.wait()
             for _ in range(n_adds):
                 registry.add("stress.counter")
-                registry.observe("stress.hist", 1.0)
+                registry.observe_bucket("stress.hist", 1.0)
 
         threads = [threading.Thread(target=worker) for _ in range(n_threads)]
         for t in threads:
@@ -351,4 +352,5 @@ class TestRegistryThreadSafety:
             t.join()
 
         assert registry.counter("stress.counter").value == n_threads * n_adds
-        assert registry.histogram("stress.hist").count == n_threads * n_adds
+        hist = registry.bucket_histogram("stress.hist").labels()
+        assert hist.count == n_threads * n_adds

@@ -14,8 +14,8 @@ def _populated_registry() -> MetricsRegistry:
     reg = MetricsRegistry()
     reg.add("serve.jobs_done", 7)
     reg.set_gauge("serve.queue_depth", 3)
-    reg.observe("serve.job_seconds", 0.5)
-    reg.observe("serve.job_seconds", 1.5)
+    reg.observe_bucket("serve.job_seconds", 0.5)
+    reg.observe_bucket("serve.job_seconds", 1.5)
     reg.add_labeled("serve.http_responses", {"method": "GET", "status": "200"}, 4)
     reg.add_labeled("serve.http_responses", {"method": "POST", "status": "429"})
     for v in (0.004, 0.02, 0.02, 3.0, 120.0):
@@ -33,6 +33,8 @@ def test_render_is_valid_and_carries_values():
     assert samples["repro_serve_queue_depth"] == 3
     assert samples["repro_serve_job_seconds_count"] == 2
     assert samples["repro_serve_job_seconds_sum"] == pytest.approx(2.0)
+    assert samples['repro_serve_job_seconds_bucket{le="+Inf"}'] == 2
+    assert "# TYPE repro_serve_job_seconds histogram" in text
     assert samples['repro_serve_http_responses_total{method="GET",status="200"}'] == 4
     assert samples['repro_serve_http_responses_total{method="POST",status="429"}'] == 1
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro import obs
@@ -30,8 +32,6 @@ class TestEnabledTracer:
         assert inner.end_ns <= outer.end_ns
 
     def test_add_complete_shares_the_perf_counter_timeline(self):
-        import time
-
         tr = Tracer(enabled=True)
         with tr.span("ctx"):
             t0 = time.perf_counter()
@@ -101,15 +101,18 @@ class TestSessions:
 
     def test_series_disabled_by_default_session(self):
         assert obs.active_series("cg.residual") is None
-        obs.record_series("cg.residual", 1, 0.5)  # silently dropped
         assert "cg.residual" not in obs.metrics().series_store
+        with obs.session(series=False):
+            assert obs.active_series("cg.residual") is None
+            assert "cg.residual" not in obs.metrics().series_store
 
     def test_series_capture_inside_session(self):
         with obs.session(series=True) as tel:
             handle = obs.active_series("cg.residual")
             assert handle is not None
             handle.append(1, 0.25)
-            obs.record_series("cg.residual", 2, 0.125)
+            assert obs.active_series("cg.residual") is handle
+            handle.append(2, 0.125)
         assert tel.registry.series("cg.residual").points() == [
             (1.0, 0.25),
             (2.0, 0.125),
@@ -139,3 +142,25 @@ class TestStopwatch:
         (event,) = tel.tracer.events
         assert event.name == "loud"
         assert event.attrs == {"kind": "test"}
+
+    def test_unnamed_stopwatch_records_no_span(self):
+        with obs.session(trace=True) as tel:
+            with Stopwatch(None) as sw:
+                pass
+        assert sw.seconds >= 0.0
+        assert tel.tracer.events == []
+
+    def test_attrs_set_inside_the_block_land_on_the_span(self):
+        with obs.session(trace=True) as tel:
+            with Stopwatch("solve", columns=4) as sw:
+                sw.attrs["converged"] = 3
+        (event,) = tel.tracer.events
+        assert event.attrs == {"columns": 4, "converged": 3}
+
+    def test_seconds_are_set_when_the_block_raises(self):
+        sw = Stopwatch("failing")
+        with pytest.raises(RuntimeError):
+            with sw:
+                time.sleep(0.001)
+                raise RuntimeError("boom")
+        assert sw.seconds >= 0.001

@@ -228,6 +228,8 @@ SWEEP = {"kind": "sweep", "grid": "g1"}
         ("POST", "/jobs", {**SWEEP, "params": [1, 2]}, "params"),
         ("POST", "/jobs", {**SWEEP, "params": {"outer_tol": "x"}}, "outer_tol"),
         ("POST", "/grids", {"name": "g2", "spec": {"side": "x"}}, "side"),
+        ("POST", "/jobs", {**SWEEP, "timeout": -1}, "timeout"),
+        ("POST", "/jobs", {**SWEEP, "timeout": 0}, "timeout"),
     ],
 )
 def test_malformed_numbers_answer_400(idle_server, method, path, body, field):

@@ -210,6 +210,29 @@ def test_metrics_json_includes_flight_section(client):
     assert "bucket_histograms" in payload
 
 
+def test_job_seconds_is_a_bucket_histogram(client):
+    """``serve.job_seconds`` is a bucket histogram: JSON under
+    ``bucket_histograms`` (no scalar ``histograms`` section) and a full
+    Prometheus histogram whose +Inf bucket equals its count."""
+    _, job, _ = client.call(
+        "POST", "/jobs", {"kind": "sweep", "grid": "g", "params": SWEEP}
+    )
+    client.call("GET", f"/jobs/{job['id']}?wait=60")
+
+    _, payload, _ = client.call("GET", "/metrics")
+    assert "histograms" not in payload
+    family = payload["bucket_histograms"]["serve.job_seconds"]
+    assert family["series"][json.dumps([])]["count"] == 1
+    assert payload["cache"]["factorizations"] >= 1
+
+    _, text, _ = client.text("/metrics?format=prometheus")
+    samples = validate_prometheus_text(text)
+    assert "# TYPE repro_serve_job_seconds histogram" in text
+    assert samples['repro_serve_job_seconds_bucket{le="+Inf"}'] == 1
+    assert samples["repro_serve_job_seconds_count"] == 1
+    assert samples["repro_serve_job_seconds_sum"] > 0
+
+
 # -- failure artifacts ---------------------------------------------------
 
 def test_failed_job_leaves_full_artifact_trail(service, tmp_path):

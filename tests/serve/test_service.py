@@ -289,6 +289,21 @@ class TestCacheLeases:
         assert len(cache) <= svc.config.cache_entries
 
 
+class TestTimeouts:
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, float("nan"), float("inf")])
+    def test_config_rejects_a_timeout_no_job_can_meet(self, bad):
+        with pytest.raises(ReproError, match="default_timeout"):
+            ServiceConfig(default_timeout=bad)
+
+    @pytest.mark.parametrize("bad", [-1.0, 0])
+    def test_submit_rejects_a_non_positive_timeout(self, bad):
+        svc = GridAnalysisService(ServiceConfig(queue_depth=2))
+        svc.register_grid("g1", SMALL)
+        with pytest.raises(ReproError, match="'timeout'"):
+            svc.submit("sweep", "g1", {}, timeout=bad)
+        assert svc.queue.depth == 0
+
+
 class TestBackpressureAndMetrics:
     def test_submit_raises_queue_full(self):
         svc = GridAnalysisService(ServiceConfig(queue_depth=2))

@@ -292,6 +292,27 @@ class TestErrors:
         bad.write_text("R1 a b notanumber\n")
         assert run_cli("solve", "--netlist", str(bad)) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eco", "--side", "8", "--tiers", "2", "--candidates", "2",
+             "--cache-entries", "0"),
+            ("serve", "--port", "0", "--cache-entries", "0"),
+            ("serve", "--port", "0", "--cache-bytes", "0"),
+            ("serve", "--port", "0", "--job-timeout", "-1"),
+            ("serve", "--port", "0", "--job-timeout", "0"),
+        ],
+    )
+    def test_out_of_range_settings_exit_2(self, argv, capsys, monkeypatch):
+        import repro.serve
+
+        def never_serve(*args, **kwargs):
+            raise AssertionError("an invalid config reached serve_http")
+
+        monkeypatch.setattr(repro.serve, "serve_http", never_serve)
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestTransientSweep:
     def test_sweep_prints_table_and_writes_reports(self, tmp_path, capsys):

@@ -18,7 +18,10 @@ delayed ACK) and checks that malformed numbers (``?wait=abc``, a
 ``"timeout": "x"`` submission) answer 400 and leave the server up.
 
 Then exercises the observability surfaces: ``/metrics?format=prometheus``
-must validate against the in-tree exposition checker, a deliberately
+must validate against the in-tree exposition checker and carry
+``serve.job_seconds`` as a bucket histogram (its ``+Inf`` bucket equal
+to its count; the JSON ``/metrics`` has no scalar ``histograms``
+section), a deliberately
 broken job (an mc sweep that varies nothing) must fail AND leave a
 flight-recorder dump plus a servable ``/jobs/<id>/trace``, and every
 response must carry the job's correlation id.  An mc job with a field
@@ -202,6 +205,8 @@ def main() -> int:
         # One grid geometry, many requests, exactly one LU.
         assert metrics["cache"]["factorizations"] == 1, metrics["cache"]
         assert counters["serve.jobs_done"] == BURST + 2, counters
+        assert "histograms" not in metrics, sorted(metrics)
+        assert "serve.job_seconds" in metrics["bucket_histograms"], metrics
 
         # -- observability surfaces --------------------------------------
 
@@ -209,6 +214,10 @@ def main() -> int:
         prom = fetch_text(base, "/metrics?format=prometheus")
         samples = validate_prometheus_text(prom)
         assert samples["repro_serve_jobs_done_total"] == BURST + 2, samples
+        # One observation per batch, so the burst's coalesced jobs share.
+        job_seconds = samples['repro_serve_job_seconds_bucket{le="+Inf"}']
+        assert job_seconds == samples["repro_serve_job_seconds_count"], samples
+        assert 1 <= job_seconds <= BURST + 2, job_seconds
         phase_count = sum(
             v for k, v in samples.items()
             if k.startswith("repro_serve_job_phase_seconds_count")
@@ -263,7 +272,8 @@ def main() -> int:
             f"service smoke OK: 1 sensitivity + {BURST} sweeps + 1 mc, "
             f"{coalesced} coalesced columns, 1 factorization, "
             f"keep-alive median {median * 1e3:.2f} ms, malformed input 400, "
-            f"prometheus valid, flight dump on failure, unknown field named, "
+            f"prometheus valid, {job_seconds:.0f} job_seconds observations, "
+            f"flight dump on failure, unknown field named, "
             f"clean shutdown"
         )
         return 0
