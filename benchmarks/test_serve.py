@@ -63,7 +63,7 @@ def run_serial_baseline(stack):
     t0 = time.perf_counter()
     rows = []
     for scale in SCALES:
-        planes = ReducedPlaneSystem(stack, factorize=True, pillar_rows=True)
+        planes = ReducedPlaneSystem(stack, factorize=True)
         result = BatchedVPSolver(
             stack,
             [Scenario(name="s", load_scale=scale)],

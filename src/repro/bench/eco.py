@@ -39,6 +39,7 @@ import numpy as np
 from repro import obs
 from repro.bench.reporting import ascii_table, write_csv, write_json
 from repro.core.batch import BatchedVPSolver
+from repro.core.planes import PlaneFactorCache
 from repro.eco.edits import EcoCandidate
 from repro.eco.session import EcoConfig, EcoReport, EcoSession
 from repro.grid.stack3d import PowerGridStack
@@ -145,7 +146,7 @@ class EcoBenchReport:
         ]
         if self.refactorize_speedup is not None:
             lines.append(
-                f"re-factorization pipeline "
+                f"re-factorization baseline: factorization pipeline "
                 f"{self.baseline_factor_per_candidate * 1e3:.0f} ms/candidate "
                 f"vs incremental update prep "
                 f"{self.update_per_candidate * 1e3:.1f} ms/candidate -> "
@@ -204,29 +205,36 @@ def run_eco_benchmark(
     *,
     scenarios=None,
     config: EcoConfig | None = None,
+    cache: PlaneFactorCache | None = None,
     compare_refactorize: bool = True,
     baseline_samples: int = 8,
 ) -> EcoBenchReport:
     """Evaluate ``candidates`` incrementally; optionally time the
     per-candidate re-factorization loop on an evenly spaced sample and
-    spot-check worst-drop parity against those direct re-solves.
+    spot-check worst-drop parity against those direct re-solves (the
+    sampled rows are marked verified).  ``cache`` is the session's
+    factor cache (a private one when omitted).
 
     The factorization counter-assert deliberately brackets *only* the
     incremental evaluation: the session's own base priming happens
-    before the snapshot, and the baseline re-solves (which must
-    factorize -- they are the reference) run after.
+    before the snapshot, and the re-solves of ``config.verify_fraction``
+    and of the baseline (which must factorize -- they are the
+    reference) run after.
     """
     config = config or EcoConfig()
-    with EcoSession(stack, scenarios=scenarios, config=config) as session:
+    with EcoSession(
+        stack, scenarios=scenarios, config=config, cache=cache
+    ) as session:
         session.baseline_drops()  # prime the base solve outside the timing
         metrics_before = obs.metrics().snapshot()
         t0 = time.perf_counter()
-        report = session.evaluate(candidates)
+        report = session.rank_candidates(candidates, verify_fraction=0.0)
         eval_seconds = time.perf_counter() - t0
         delta = obs.snapshot_delta(metrics_before, obs.metrics().snapshot())
         eval_factorizations = int(
             delta["counters"].get("planes.factorizations", 0)
         )
+        session.verify(report)
 
         bench = EcoBenchReport(
             stack_name=stack.name,
@@ -246,15 +254,12 @@ def run_eco_benchmark(
                     min(baseline_samples, len(report.rows)),
                 ).astype(int)
             )
-            solver_config = config.solver_config()
             worst = 0.0
             for k in subset:
                 row = report.rows[int(k)]
                 t0 = time.perf_counter()
                 solver = BatchedVPSolver(
-                    row.candidate.apply(stack),
-                    session.scenarios,
-                    solver_config,
+                    row.candidate.apply(stack), session.scenarios, config
                 )
                 t1 = time.perf_counter()
                 reference = solver.solve().worst_ir_drop()

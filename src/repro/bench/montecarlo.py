@@ -177,13 +177,7 @@ def run_mc_benchmark(
     )
     if compare_naive:
         t0 = time.perf_counter()
-        naive_worst = naive_monte_carlo(
-            stack,
-            draws,
-            outer_tol=config.outer_tol,
-            max_outer=config.max_outer,
-            v0_init=config.v0_init,
-        )
+        naive_worst = naive_monte_carlo(stack, draws, config=config)
         report.naive_seconds = time.perf_counter() - t0
         # The timed loop already solved every sample standalone; parity
         # is reported over an explicit subset to keep the contract (and

@@ -149,19 +149,6 @@ class SweepReport:
         write_json(path, payload)
 
 
-def _sequential_config(config: BatchedVPConfig) -> VPConfig:
-    """The single-scenario configuration equivalent to a batched run."""
-    return VPConfig(
-        inner="direct",
-        outer_tol=config.outer_tol,
-        max_outer=config.max_outer,
-        vda=config.vda,
-        eta=config.eta,
-        v0_init=config.v0_init,
-        record_history=False,
-    )
-
-
 def run_sweep(
     stack: PowerGridStack,
     scenarios,
@@ -210,7 +197,7 @@ def run_sweep(
         t0 = time.perf_counter()
         for k, scenario in enumerate(scenarios):
             seq = VoltagePropagationSolver(
-                scenario.apply(stack), _sequential_config(config)
+                scenario.apply(stack), VPConfig.direct(config)
             ).solve()
             parity = max(
                 parity,

@@ -186,19 +186,6 @@ class TransientSweepReport:
         write_json(path, payload)
 
 
-def _sequential_transient_config(config: BatchedTransientConfig) -> VPConfig:
-    """The single-scenario configuration equivalent to a batched run."""
-    return VPConfig(
-        inner="direct",
-        outer_tol=config.outer_tol,
-        max_outer=config.max_outer,
-        vda=config.vda,
-        eta=config.eta,
-        v0_init=config.v0_init,
-        record_history=False,
-    )
-
-
 def run_sequential_transient(
     stack: PowerGridStack,
     scenarios,
@@ -220,7 +207,7 @@ def run_sequential_transient(
     scenarios = ScenarioSet.ensure(scenarios)
     config = config or BatchedTransientConfig()
     base_caps = normalize_capacitance(stack, capacitance)
-    vp_config = _sequential_transient_config(config)
+    vp_config = VPConfig.direct(config)
     results = []
     for scenario in scenarios:
         applied = scenario.apply(stack)

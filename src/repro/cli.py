@@ -404,10 +404,9 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_eco(args: argparse.Namespace) -> int:
-    import time as _time
-
+    from repro.bench.eco import run_eco_benchmark
     from repro.core.planes import PlaneFactorCache
-    from repro.eco import EcoSession, load_candidates
+    from repro.eco import load_candidates
 
     job = _spec(
         EcoJob,
@@ -419,53 +418,21 @@ def cmd_eco(args: argparse.Namespace) -> int:
         candidates = load_candidates(args.edits)
     else:
         candidates = job.generate_candidates(stack)
-    cache = PlaneFactorCache(max_entries=args.cache_entries)
-    config = job.config()
-    with EcoSession(
-        stack, scenarios=job.scenarios(), config=config, cache=cache
-    ) as session:
-        report = session.rank_candidates(candidates)
-        print(report.table(top=job.top))
-        print()
-        print(report.summary())
-        if args.compare_refactorize:
-            # Direct re-solve (fresh factors on the edited stack) of a
-            # small sample, extrapolated to the full candidate list.
-            # Construction (assembly + factorization + setup) is timed
-            # apart from the solve: the solve iterations are identical
-            # lockstep work in both paths, so the construction is what
-            # the incremental update actually replaces.
-            from repro.core.batch import BatchedVPSolver
-
-            sample = min(4, len(report.rows))
-            solver_config = config.solver_config()
-            factor_s = solve_s = 0.0
-            for row in report.ranked()[:sample]:
-                t0 = _time.perf_counter()
-                solver = BatchedVPSolver(
-                    row.candidate.apply(stack),
-                    session.scenarios,
-                    solver_config,
-                )
-                t1 = _time.perf_counter()
-                solver.solve()
-                factor_s += t1 - t0
-                solve_s += _time.perf_counter() - t1
-            per_candidate = (factor_s + solve_s) / sample
-            estimated = per_candidate * len(report.rows)
-            speedup = estimated / max(report.eval_seconds, 1e-12)
-            update_per_cand = report.result.stats.setup_seconds / max(
-                len(report.rows), 1
-            )
-            refactor_x = (factor_s / sample) / max(update_per_cand, 1e-12)
-            print(
-                f"re-factorization baseline: {per_candidate:.3f} s/candidate "
-                f"({sample} sampled), estimated {estimated:.2f} s total "
-                f"-> incremental speedup {speedup:.1f}x end-to-end, "
-                f"{refactor_x:.1f}x on the factorization pipeline "
-                f"({factor_s / sample * 1e3:.0f} ms -> "
-                f"{update_per_cand * 1e3:.1f} ms/candidate)"
-            )
+    bench = run_eco_benchmark(
+        stack,
+        candidates,
+        scenarios=job.scenarios(),
+        config=job.config(),
+        cache=PlaneFactorCache(max_entries=args.cache_entries),
+        compare_refactorize=args.compare_refactorize,
+        baseline_samples=4,
+    )
+    report = bench.report
+    print(report.table(top=job.top))
+    print()
+    print(report.summary())
+    if args.compare_refactorize:
+        print(bench.summary())
     _write_reports(report, args)
     return 0 if all(row.converged for row in report.rows) else 1
 
@@ -1018,8 +985,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--batch-window", type=float, default=0.025,
-        help="request-coalescing window (s); compatible sweep jobs "
-        "arriving within it merge into one multi-RHS solve (0 disables)",
+        help="request-coalescing window (finite s >= 0); compatible sweep "
+        "jobs arriving within it merge into one multi-RHS solve (0 disables)",
     )
     p.add_argument(
         "--cache-entries", type=int, default=8,

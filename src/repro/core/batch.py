@@ -29,6 +29,7 @@ operator, and the standalone solve is its batch-size-1 case.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -51,31 +52,45 @@ from repro.scenarios.spec import Scenario, ScenarioSet
 
 @dataclass
 class BatchedVPConfig:
-    """Tuning knobs of the batched solver.
+    """The knobs of the VP outer loop (:func:`repro.core.kernel.run_outer_loop`),
+    declared and checked once.
 
-    The inner solver is always the cached-direct plane factorization --
-    sharing it across scenario columns is the engine's reason to exist.
-    ``vda`` accepts the same policy names as :class:`~repro.core.vp.VPConfig`;
-    damping auto-scales per scenario from each design point's pillar
-    gain bound when ``eta`` is left unset.
+    The batched engine and the adjoint take it as is; every other engine
+    config that runs one kernel loop subclasses it with its own knobs
+    only, and each engine hands its config straight to the kernel.
+
+    ``outer_tol`` bounds the propagated-source-voltage mismatch in volts
+    (the paper's epsilon; its error budget is 0.5 mV -- the default
+    0.1 mV leaves headroom for inner-solver error).  ``vda`` picks the
+    adjustment policy: ``"fixed"``/``"adaptive"`` are the paper's §III-C
+    variants, ``"secant"``/``"anderson"`` quasi-Newton/accelerated
+    extensions (benchmark E8), and ``"auto"`` (default) uses adaptive in
+    the paper's low-TSV-resistance design regime and switches to
+    Anderson per column when the pillar gain bound signals a stiff outer
+    Jacobian (large ``r_tsv``).
     """
 
     outer_tol: float = 1e-4
     max_outer: int = 200
     vda: str | VDAPolicy = "auto"
+    #: Initial VDA damping; None auto-scales it per column from the
+    #: pillar gain bound (1 / max_j prod_l (1 + r_seg[l,j] * G_deg(j))),
+    #: which keeps the outer iteration stable even for unusually
+    #: resistive TSVs.
     eta: float | None = None
-    record_history: bool = True
     raise_on_divergence: bool = False
-    #: Layer-0 seed: ``"pin"`` (paper) or ``"loadshare"`` (pre-drop each
-    #: pillar by its load share; same rule as VPConfig.v0_init, applied
-    #: per scenario column).
+    #: Layer-0 TSV voltage seed: ``"pin"`` is the paper's ``V0 = VDD``;
+    #: ``"loadshare"`` pre-drops each pillar by its load share through
+    #: the segment resistances, typically saving a few outer iterations.
     v0_init: str = "pin"
 
     def __post_init__(self) -> None:
-        if self.outer_tol <= 0:
-            raise ReproError("outer_tol must be positive")
+        if not (math.isfinite(self.outer_tol) and self.outer_tol > 0):
+            raise ReproError(
+                f"outer_tol must be a finite number > 0, got {self.outer_tol!r}"
+            )
         if self.max_outer < 1:
-            raise ReproError("max_outer must be >= 1")
+            raise ReproError(f"max_outer must be >= 1, got {self.max_outer!r}")
         if self.v0_init not in ("pin", "loadshare"):
             raise ReproError(
                 f"unknown v0_init {self.v0_init!r}; use 'pin' or 'loadshare'"
@@ -181,8 +196,8 @@ class BatchedVPSolver:
         self.v_pin = stack.v_pin
 
         if planes is None:
-            planes = ReducedPlaneSystem(stack, factorize=True, pillar_rows=True)
-        elif not (planes.factorized and planes.has_pillar_rows):
+            planes = ReducedPlaneSystem(stack, factorize=True)
+        elif not planes.factorized:
             raise ReproError(
                 "a pre-built plane system must be factorized with pillar rows"
             )
@@ -333,7 +348,6 @@ class BatchedVPSolver:
             config,
             target=self.v_pin,
             engine="batch",
-            record_history=config.record_history,
         )
         stats = BatchedVPStats(
             setup_seconds=self._setup_seconds,

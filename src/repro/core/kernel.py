@@ -290,7 +290,6 @@ def run_outer_loop(
     *,
     target: float,
     engine: str,
-    record_history: bool = False,
 ) -> OuterLoop:
     """Run the VP outer iteration in lockstep over a column batch.
 
@@ -300,9 +299,10 @@ def run_outer_loop(
     the leftover current in volts at un-pinned ones.  Columns within
     ``config.outer_tol`` retire with their fields frozen, the rest take
     the ``config.vda`` update.  ``v0`` (:func:`seed_v0`) is updated in
-    place.  ``config`` is any engine config with ``outer_tol``,
-    ``max_outer``, ``vda``, ``eta`` and ``raise_on_divergence``.
-    ``engine`` prefixes the telemetry: ``<engine>.column_solves`` /
+    place.  ``config`` is a :class:`~repro.core.batch.BatchedVPConfig`
+    (or an engine's subclass of it).  Every iteration appends a
+    :class:`BatchOuterRecord` to the history.  ``engine`` prefixes the
+    telemetry: ``<engine>.column_solves`` /
     ``.retirements`` / ``.outer_iterations`` counters, the
     ``<engine>.residual`` series and the ``<engine>.solve`` span around
     per-tier ``cvn`` and ``tsv`` spans.
@@ -402,10 +402,7 @@ def run_outer_loop(
                 converged[cols] = True
                 active[cols] = False
             outer_iterations = outer
-            if record_history:
-                history.append(
-                    BatchOuterRecord(outer, int(active.sum()), max_f.copy())
-                )
+            history.append(BatchOuterRecord(outer, int(active.sum()), max_f.copy()))
             if not active.any():
                 break
 

@@ -143,15 +143,12 @@ class ReducedPlaneSystem:
         Pre-built per-tier ``(matrix, rhs)`` pairs from
         :func:`repro.core.tsv.plane_matrices`; rebuilt when omitted.
     factorize:
-        Factorize each group's ``A_ff`` once (the ``direct`` inner
-        solver).  When False the raw CSR blocks and Jacobi inverse
-        diagonals are kept instead (the ``cg`` inner solver).
-    pillar_rows:
-        Also slice and keep the pillar rows ``A_p`` of the full plane
-        matrices (enables :meth:`drawn_currents`).  Every factored engine
-        needs them; the single-scenario ``cg`` solver extracts drawn
-        currents from the full matrices and skips the extra
-        slicing/storage.
+        Factorize each group's ``A_ff`` once and keep the pillar rows
+        ``A_p`` of the full plane matrices (enabling
+        :meth:`drawn_currents`): what every factored engine runs on.
+        When False the raw CSR blocks and Jacobi inverse diagonals are
+        kept instead (the ``cg`` inner solver, which extracts drawn
+        currents from the full matrices).
 
     Attributes
     ----------
@@ -174,7 +171,6 @@ class ReducedPlaneSystem:
         groups: list[int] | None = None,
         planes: list[tuple[sp.csr_matrix, np.ndarray]] | None = None,
         factorize: bool = True,
-        pillar_rows: bool = False,
     ):
         self.n = stack.rows * stack.cols
         self.pillar_flat = stack.pillar_flat_indices()
@@ -183,7 +179,6 @@ class ReducedPlaneSystem:
             plane_matrices(stack, groups=self.groups) if planes is None else planes
         )
         self.factorized = factorize
-        self.has_pillar_rows = pillar_rows
 
         free_mask = np.ones(self.n, dtype=bool)
         free_mask[self.pillar_flat] = False
@@ -216,17 +211,15 @@ class ReducedPlaneSystem:
             if group not in cache:
                 a_ff = matrix[self.free][:, self.free].tocsr()
                 a_fp = matrix[self.free][:, self.pillar_flat].tocsr()
-                a_p = (
-                    matrix[self.pillar_flat, :].tocsr() if pillar_rows else None
-                )
                 if factorize:
+                    a_p = matrix[self.pillar_flat, :].tocsr()
                     with tr.span("factorize", tier=l, n_free=self.free.size):
                         solver = DirectSolver(a_ff, spd=True)
                     cache[group] = (solver, a_fp, a_p, None)
                     self.n_factorizations += 1
                     obs.add("planes.factorizations")
                 else:
-                    cache[group] = (a_ff, a_fp, a_p, 1.0 / a_ff.diagonal())
+                    cache[group] = (a_ff, a_fp, None, 1.0 / a_ff.diagonal())
             a_ff, a_fp, a_p, inv_diag = cache[group]
             self.a_ff.append(a_ff)
             self.a_fp.append(a_fp)
@@ -235,7 +228,7 @@ class ReducedPlaneSystem:
             if inv_diag is not None:
                 self.jacobi_inv.append(inv_diag)
             self.b_free.append(rhs[self.free])
-            if pillar_rows:
+            if factorize:
                 self.b_pillar.append(rhs[self.pillar_flat])
 
     # ------------------------------------------------------------------
@@ -374,8 +367,8 @@ class ReducedPlaneSystem:
         ``scale`` is the same conductance multiplier as in
         :meth:`solve_free` (the pillar rows of a scaled plane are
         ``alpha A_p``)."""
-        if not self.has_pillar_rows:
-            raise RuntimeError("drawn_currents needs pillar_rows=True")
+        if not self.factorized:
+            raise RuntimeError("drawn_currents needs factorize=True")
         base = self.b_pillar[tier_index] if b_pillar is None else b_pillar
         product = self.a_pillar[tier_index] @ v_full
         if scale is not None:
@@ -387,7 +380,7 @@ class ReducedPlaneSystem:
         factors survive)."""
         self.planes[tier_index] = (self.planes[tier_index][0], rhs_full)
         self.b_free[tier_index] = rhs_full[self.free]
-        if self.has_pillar_rows:
+        if self.factorized:
             self.b_pillar[tier_index] = rhs_full[self.pillar_flat]
 
     def low_rank_update(
@@ -457,10 +450,9 @@ class ReducedPlaneSystem:
         for l, (matrix, rhs) in enumerate(self.planes):
             total += csr_bytes(matrix) + once(rhs, rhs.nbytes)
             total += csr_bytes(self.a_fp[l]) + self.b_free[l].nbytes
-            if self.has_pillar_rows:
-                total += csr_bytes(self.a_pillar[l]) + self.b_pillar[l].nbytes
             block = self.a_ff[l]
             if self.factorized:
+                total += csr_bytes(self.a_pillar[l]) + self.b_pillar[l].nbytes
                 total += once(block, block.memory_bytes)
             else:
                 total += csr_bytes(block)
@@ -515,8 +507,8 @@ class PlaneFactorCache:
     ``pinned_overflow`` instead of growing silently; the last release on
     an entry runs the deferred eviction.
 
-    Cached systems are built with ``pillar_rows=True`` (the batched
-    engine needs the pillar rows).  NOTE: a cached system's *base*
+    Cached systems are factorized, so they keep the pillar rows the
+    factored engines need.  NOTE: a cached system's *base*
     right-hand sides belong to the stack it was first built from;
     callers reusing a system for a same-geometry stack with different
     loads must pass explicit ``b_free``/``b_pillar`` (the batched solver
@@ -613,9 +605,7 @@ class PlaneFactorCache:
             # Loop: normally a hit now; if the entry was already evicted
             # (or the peer's build failed) this thread becomes the builder.
         try:
-            system = ReducedPlaneSystem(
-                stack, factorize=True, pillar_rows=True
-            )
+            system = ReducedPlaneSystem(stack, factorize=True)
         except BaseException:
             with self._lock:
                 self._building.pop(key).set()  # release waiters to retry

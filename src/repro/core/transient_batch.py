@@ -31,7 +31,7 @@ and the step count* -- the property the benchmark counter-asserts.
 
 Exact parity: scenario column ``s`` follows exactly the solve sequence
 a sequential ``TransientVPSolver(scenario.apply(stack), caps *
-cap_scale, dt, VPConfig(inner="direct", ...)).run(...)`` takes -- same
+cap_scale, dt, VPConfig.direct(config)).run(...)`` takes -- same
 DC seed, same per-step warm starts, same RHS floating-point op order --
 so per-scenario waveforms agree to round-off (the benchmark asserts
 worst-droop parity at rtol 1e-10).
@@ -39,8 +39,8 @@ worst-droop parity at rtol 1e-10).
 Scenarios whose stimulus has settled (steps and ramps past the event;
 pulses never settle) can optionally *retire early*: once a scenario's
 step-to-step voltage change stays under ``settle_tol`` for
-``settle_window`` consecutive steps, its waveform tail is frozen and
-later steps back-substitute only the survivors' columns.
+:data:`SETTLE_WINDOW` consecutive steps, its waveform tail is frozen
+and later steps back-substitute only the survivors' columns.
 """
 
 from __future__ import annotations
@@ -55,53 +55,35 @@ from repro import obs
 from repro.core.batch import BatchedVPConfig, BatchedVPSolver
 from repro.core.planes import PlaneFactorCache
 from repro.core.transient import normalize_capacitance
-from repro.core.vda import VDAPolicy
 from repro.core.kernel import loadshare_v0
 from repro.errors import GridError, ReproError
 from repro.grid.stack3d import PowerGridStack
 from repro.scenarios.spec import Scenario, ScenarioSet
 
 
-@dataclass
-class BatchedTransientConfig:
-    """Tuning knobs of the batched transient engine.
+#: Consecutive quiet steps after which a settled scenario retires.
+SETTLE_WINDOW = 2
 
-    ``outer_tol``/``max_outer``/``vda``/``eta``/``v0_init`` configure the
-    per-step batched VP solves exactly like
-    :class:`~repro.core.batch.BatchedVPConfig`.  ``settle_tol`` enables
-    early retirement of settled scenarios: 0 (default) disables it,
-    preserving exact parity with the sequential path; a positive value
-    (volts) retires a scenario once its stimulus has settled and its
+
+@dataclass
+class BatchedTransientConfig(BatchedVPConfig):
+    """Knobs of the batched transient engine: the outer loop's
+    (:class:`~repro.core.batch.BatchedVPConfig`, run by every per-step
+    batched VP solve) plus ``settle_tol``, which enables early
+    retirement of settled scenarios: 0 (default) disables it, preserving
+    exact parity with the sequential path; a positive value (volts)
+    retires a scenario once its stimulus has settled and its
     step-to-step voltage change stays under the threshold for
-    ``settle_window`` consecutive steps (its waveform tail is frozen at
-    the retirement value).
+    :data:`SETTLE_WINDOW` consecutive steps (its waveform tail is frozen
+    at the retirement value).
     """
 
-    outer_tol: float = 1e-4
-    max_outer: int = 200
-    vda: str | VDAPolicy = "auto"
-    eta: float | None = None
-    v0_init: str = "pin"
     settle_tol: float = 0.0
-    settle_window: int = 2
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.settle_tol < 0:
             raise ReproError("settle_tol must be >= 0")
-        if self.settle_window < 1:
-            raise ReproError("settle_window must be >= 1")
-
-    def vp_config(self) -> BatchedVPConfig:
-        """The per-step batched VP configuration."""
-        return BatchedVPConfig(
-            outer_tol=self.outer_tol,
-            max_outer=self.max_outer,
-            vda=self.vda,
-            eta=self.eta,
-            record_history=False,
-            raise_on_divergence=False,
-            v0_init=self.v0_init,
-        )
 
 
 @dataclass
@@ -184,7 +166,7 @@ class _ScenarioGroup:
         base_caps: list[np.ndarray],
         dt: float,
         cache: PlaneFactorCache,
-        vp_config: BatchedVPConfig,
+        config: BatchedTransientConfig,
     ):
         self.originals = originals
         self.columns = np.array(columns, dtype=int)
@@ -227,14 +209,14 @@ class _ScenarioGroup:
         dc_planes = cache.get(dc_stack)
         comp_planes = cache.get(comp_stack)
         self.dc_solver = BatchedVPSolver(
-            dc_stack, stripped, vp_config, planes=dc_planes
+            dc_stack, stripped, config, planes=dc_planes
         )
         self.comp_solver = BatchedVPSolver(
-            comp_stack, stripped, vp_config, planes=comp_planes
+            comp_stack, stripped, config, planes=comp_planes
         )
         self._comp_stack = comp_stack
         self._stripped = stripped
-        self._vp_config = vp_config
+        self._config = config
         self._comp_planes = comp_planes
 
         # (n, S) per tier: loads pre-scaled by each scenario's per-tier
@@ -308,7 +290,7 @@ class _ScenarioGroup:
             self.comp_solver = BatchedVPSolver(
                 self._comp_stack,
                 ScenarioSet([self._stripped[k] for k in self.active]),
-                self._vp_config,
+                self._config,
                 planes=self._comp_planes,
             )
 
@@ -413,11 +395,10 @@ class BatchedTransientSolver:
             else PlaneFactorCache(max_entries=max(8, 2 * len(grouped)))
         )
         count0 = self.cache.factorizations
-        vp_config = self.config.vp_config()
         self.groups = [
             _ScenarioGroup(
                 stack, members, columns, self.base_caps, self.dt,
-                self.cache, vp_config,
+                self.cache, self.config,
             )
             for members, columns in grouped.values()
         ]
@@ -596,7 +577,7 @@ class BatchedTransientSolver:
                         group.settle_count = np.where(
                             quiet, group.settle_count + 1, 0
                         )
-                        retire = group.settle_count >= config.settle_window
+                        retire = group.settle_count >= SETTLE_WINDOW
                         if np.any(retire):
                             reg.add("transient.retirements", int(retire.sum()))
                             retired_cols = cols_g[retire]

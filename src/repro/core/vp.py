@@ -35,11 +35,12 @@ Benchmark E11 compares them.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from repro.errors import GridError, ReproError
+from repro.core.batch import BatchedVPConfig
 from repro.core.kernel import (
     PHASES,
     FactoredPlanes,
@@ -51,62 +52,53 @@ from repro.core.kernel import (
 from repro.core.planes import ReducedPlaneSystem, group_tiers
 from repro.core.rowbased import RowBasedConfig, RowBasedSolver, estimate_optimal_omega
 from repro.core.tsv import pillar_drawn_currents, plane_matrices
-from repro.core.vda import VDAPolicy
 from repro.grid.stack3d import PowerGridStack
 from repro.linalg.cg import cg
 
 INNER_SOLVERS = ("rb", "direct", "cg")
+#: Inexact-Newton forcing of the iterative inner solvers: each outer
+#: iteration's plane solves target this fraction of the previous outer
+#: mismatch (see :meth:`VoltagePropagationSolver._inner_tolerance`).
+INNER_TOL_RATIO = 0.1
+#: Loosest tolerance (volts) of an iterative inner solve.
+INNER_TOL_CAP = 1e-4
 
 
 @dataclass
-class VPConfig:
-    """Tuning knobs of the VP solver.
-
-    ``outer_tol`` bounds the propagated-source-voltage mismatch in volts
-    (the paper's epsilon; its error budget is 0.5 mV -- the default 0.1 mV
-    leaves headroom for inner-solver error).  ``vda`` picks the adjustment
-    policy: ``"fixed"``/``"adaptive"`` are the paper's §III-C variants,
-    ``"secant"``/``"anderson"`` quasi-Newton/accelerated extensions
-    (benchmark E8), and ``"auto"`` (default) uses adaptive in the paper's
-    low-TSV-resistance design regime and switches to Anderson when the
-    pillar gain bound signals a stiff outer Jacobian (large ``r_tsv``).
+class VPConfig(BatchedVPConfig):
+    """Knobs of the single-stack VP solver: the outer loop's
+    (:class:`~repro.core.batch.BatchedVPConfig`) plus the intra-plane
+    solver ``inner`` -- ``"rb"`` (the paper's row-based method),
+    ``"direct"`` (cached factorization) or ``"cg"`` (Jacobi-PCG) -- and
+    ``inner_tol``, the floor of the gain-aware inexact tolerance of the
+    iterative ones.  Iterative inner solves always warm-start from the
+    tier's previous field; the row-based SOR factor is estimated once
+    per solver.
     """
 
-    outer_tol: float = 1e-4
-    max_outer: int = 200
-    vda: str | VDAPolicy = "auto"
-    #: Initial VDA damping; None auto-scales it from the pillar gain bound
-    #: (1 / max_j prod_l (1 + r_seg[l,j] * G_deg(j))), which keeps the
-    #: outer iteration stable even for unusually resistive TSVs.
-    eta: float | None = None
     inner: str = "rb"
     inner_tol: float = 1e-5
-    inner_tol_ratio: float = 0.1
-    inner_tol_cap: float = 1e-4
-    rb_omega: float | None = None
-    rb_ordering: str = "redblack"
-    rb_max_sweeps: int = 20_000
-    warm_start: bool = True
-    record_history: bool = True
-    raise_on_divergence: bool = False
-    #: Layer-0 TSV voltage seed: ``"pin"`` is the paper's ``V0 = VDD``;
-    #: ``"loadshare"`` pre-drops each pillar by its load share through the
-    #: segment resistances, typically saving a few outer iterations.
-    v0_init: str = "pin"
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.inner not in INNER_SOLVERS:
             raise ReproError(
                 f"unknown inner solver {self.inner!r}; use one of {INNER_SOLVERS}"
             )
-        if self.v0_init not in ("pin", "loadshare"):
-            raise ReproError(
-                f"unknown v0_init {self.v0_init!r}; use 'pin' or 'loadshare'"
-            )
-        if self.outer_tol <= 0 or self.inner_tol <= 0:
-            raise ReproError("tolerances must be positive")
-        if self.max_outer < 1:
-            raise ReproError("max_outer must be >= 1")
+        if not self.inner_tol > 0:
+            raise ReproError(f"inner_tol must be > 0, got {self.inner_tol!r}")
+
+    @classmethod
+    def direct(cls, config: BatchedVPConfig) -> "VPConfig":
+        """The ``inner="direct"`` config with ``config``'s loop knobs: its
+        solve of ``scenario.apply(stack)`` matches that scenario's column
+        of a batched solve under ``config`` bit for bit (to round-off
+        for ``plane_scale``, which the batch solves on unscaled
+        factors)."""
+        return cls(
+            inner="direct",
+            **{f.name: getattr(config, f.name) for f in fields(BatchedVPConfig)},
+        )
 
 
 @dataclass
@@ -222,13 +214,7 @@ class VoltagePropagationSolver:
         return base
 
     def _setup_rb(self) -> None:
-        config = self.config
-        rb_config = RowBasedConfig(
-            tol=config.inner_tol,
-            max_sweeps=config.rb_max_sweeps,
-            omega=1.0,
-            ordering=config.rb_ordering,
-        )
+        rb_config = RowBasedConfig(tol=self.config.inner_tol, omega=1.0)
         solvers: dict[int, RowBasedSolver] = {}
         self._rb_solvers = []
         self._rb_base = []
@@ -240,13 +226,9 @@ class VoltagePropagationSolver:
                 )
             self._rb_solvers.append(solvers[group])
             self._rb_base.append(self._tier_base_rhs(tier))
-        if config.rb_omega is None:
-            omega, _rho = estimate_optimal_omega(
-                self._rb_solvers[0], n_iter=12
-            )
-            self._rb_omega = omega
-        else:
-            self._rb_omega = config.rb_omega
+        self._rb_omega, _rho = estimate_optimal_omega(
+            self._rb_solvers[0], n_iter=12
+        )
 
     def _setup_reduced(self) -> None:
         """Reduced free-node systems for the direct/cg inner solvers.
@@ -256,13 +238,11 @@ class VoltagePropagationSolver:
         ``direct`` solves run it as the batched engine does, with a
         1-column batch.
         """
-        direct = self.config.inner == "direct"
         self._reduced = ReducedPlaneSystem(
             self.stack,
             groups=self._tier_group,
             planes=self._planes,
-            factorize=direct,
-            pillar_rows=direct,
+            factorize=self.config.inner == "direct",
         )
         self._free = self._reduced.free
 
@@ -332,7 +312,6 @@ class VoltagePropagationSolver:
             config,
             target=self.v_pin,
             engine="vp",
-            record_history=config.record_history,
         )
 
         if config.inner == "direct":
@@ -383,13 +362,9 @@ class VoltagePropagationSolver:
         if prev_max_f is None:
             f_target = 10.0 * config.outer_tol
         else:
-            f_target = max(
-                config.inner_tol_ratio * prev_max_f, 0.1 * config.outer_tol
-            )
+            f_target = max(INNER_TOL_RATIO * prev_max_f, 0.1 * config.outer_tol)
         return float(
-            np.clip(
-                f_target / gain, config.inner_tol / gain, config.inner_tol_cap
-            )
+            np.clip(f_target / gain, config.inner_tol / gain, INNER_TOL_CAP)
         )
 
     # ------------------------------------------------------------------
@@ -450,16 +425,16 @@ class _IterativePlanes(PlaneOperator):
         self.inner_iterations.append([])
 
     def solve(self, l, pillar_v, idx, out):
-        solver, config = self.solver, self.solver.config
+        solver = self.solver
         pillar_v = pillar_v[:, 0]
         warm = self.warm[l]
-        if config.inner == "rb":
+        if solver.config.inner == "rb":
             dvals = warm.copy()
             positions = solver.stack.pillars.positions
             dvals[positions[:, 0], positions[:, 1]] = pillar_v
             result = solver._rb_solvers[l].solve(
                 dirichlet_values=dvals,
-                v0=warm if config.warm_start else None,
+                v0=warm,
                 tol=self.tol,
                 omega=solver._rb_omega,
                 base_rhs=solver._rb_base[l],
@@ -472,7 +447,7 @@ class _IterativePlanes(PlaneOperator):
             result = cg(
                 reduced.a_ff[l],
                 reduced.reduced_rhs(l, pillar_v),
-                x0=v_field[solver._free] if config.warm_start else None,
+                x0=v_field[solver._free],
                 m_inv=lambda r: inv_diag * r,
                 tol=self.tol,
                 criterion="max_dx",

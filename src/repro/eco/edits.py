@@ -34,7 +34,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.errors import GridError, ReproError
-from repro.grid.stack3d import PillarSet, PowerGridStack
+from repro.grid.stack3d import PowerGridStack
 
 __all__ = [
     "CompiledCandidate",

@@ -156,7 +156,8 @@ class EcoBatchSolver:
     compiled:
         The :func:`repro.eco.edits.compile_candidate` outputs.
     config:
-        Same knobs as the plain batched engine.
+        The outer loop's knobs, as for the plain batched engine (an
+        :class:`~repro.eco.session.EcoConfig` passes straight through).
     """
 
     def __init__(
@@ -174,7 +175,7 @@ class EcoBatchSolver:
         self.compiled = list(compiled)
         if not self.compiled:
             raise ReproError("no candidates to evaluate")
-        if not (planes.factorized and planes.has_pillar_rows):
+        if not planes.factorized:
             raise ReproError(
                 "the ECO engine needs factorized planes with pillar rows"
             )

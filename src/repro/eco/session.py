@@ -12,7 +12,8 @@ factorizations, counter-asserted by callers via the
 
 Verification is deliberately *separate* from evaluation: a configurable
 sample fraction of candidates is re-solved directly (fresh factors on
-the edited stack, the reference path) and compared at ``verify_rtol``.
+the edited stack, the reference path) and compared at
+:data:`VERIFY_RTOL`.
 Those re-solves legitimately factorize, so the zero-factorization
 contract applies to :meth:`evaluate` alone -- benchmarks snapshot the
 counters around it and verify afterwards.
@@ -40,32 +41,33 @@ _METRICS = {
     "worst_drop": lambda drops: float(drops.max()),
     "mean_drop": lambda drops: float(drops.mean()),
 }
+#: Largest relative worst-drop error a verified candidate may show
+#: against its direct re-solve.
+VERIFY_RTOL = 1e-10
+#: Seed of the verification sample.
+VERIFY_SEED = 0
 
 
 @dataclass
-class EcoConfig:
-    """Knobs of an ECO session.
+class EcoConfig(BatchedVPConfig):
+    """Knobs of an ECO session: the outer loop's
+    (:class:`~repro.core.batch.BatchedVPConfig`, tighter by default)
+    plus the ranking ``metric`` and ``verify_fraction``.
 
-    The solver knobs (``outer_tol`` .. ``v0_init``) mirror
-    :class:`~repro.core.batch.BatchedVPConfig` -- candidate columns run
-    the exact iteration sequence a direct re-solve of the edited stack
-    would, which is what makes ``verify_rtol`` as tight as 1e-10
-    meaningful.  ``verify_fraction`` samples that direct re-solve on a
-    deterministic subset of candidates (0 disables verification).
+    Candidate columns run the exact iteration sequence a direct re-solve
+    of the edited stack would, which is what makes :data:`VERIFY_RTOL`
+    as tight as 1e-10 meaningful.  ``verify_fraction`` samples that
+    direct re-solve on a deterministic subset of candidates (0 disables
+    verification).
     """
 
     outer_tol: float = 1e-6
     max_outer: int = 300
-    vda: str = "auto"
-    eta: float | None = None
-    v0_init: str = "pin"
     metric: str = "worst_drop"
     verify_fraction: float = 0.0
-    verify_seed: int = 0
-    verify_rtol: float = 1e-10
-    raise_on_divergence: bool = False
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.metric not in _METRICS:
             raise ReproError(
                 f"unknown ECO metric {self.metric!r}; expected one of "
@@ -73,19 +75,6 @@ class EcoConfig:
             )
         if not 0.0 <= self.verify_fraction <= 1.0:
             raise ReproError("verify_fraction must be in [0, 1]")
-        if self.verify_rtol <= 0:
-            raise ReproError("verify_rtol must be positive")
-
-    def solver_config(self) -> BatchedVPConfig:
-        return BatchedVPConfig(
-            outer_tol=self.outer_tol,
-            max_outer=self.max_outer,
-            vda=self.vda,
-            eta=self.eta,
-            v0_init=self.v0_init,
-            record_history=False,
-            raise_on_divergence=self.raise_on_divergence,
-        )
 
 
 @dataclass
@@ -280,7 +269,7 @@ class EcoSession:
             solver = BatchedVPSolver(
                 self.stack,
                 self.scenarios,
-                self.config.solver_config(),
+                self.config,
                 planes=self.planes,
             )
             self._baseline = solver.solve().worst_ir_drop()
@@ -326,7 +315,7 @@ class EcoSession:
             self.planes,
             self.scenarios,
             compiled,
-            self.config.solver_config(),
+            self.config,
         )
         result = engine.solve()
         drops = result.worst_ir_drop()          # (n_cand, S)
@@ -399,7 +388,7 @@ class EcoSession:
         solver = BatchedVPSolver(
             candidate.apply(self.stack),
             self.scenarios,
-            self.config.solver_config(),
+            self.config,
         )
         return solver.solve().worst_ir_drop()
 
@@ -413,7 +402,7 @@ class EcoSession:
         re-solve; annotate the sampled rows in place.
 
         Returns the number of candidates verified.  Raises ``ReproError``
-        when any sampled candidate misses ``verify_rtol``.
+        when any sampled candidate misses :data:`VERIFY_RTOL`.
         """
         self._check_open()
         fraction = (
@@ -421,7 +410,7 @@ class EcoSession:
         )
         if fraction <= 0.0 or not report.rows:
             return 0
-        seed = self.config.verify_seed if seed is None else seed
+        seed = VERIFY_SEED if seed is None else seed
         n = len(report.rows)
         count = max(1, int(round(fraction * n)))
         rng = np.random.default_rng(seed)
@@ -437,14 +426,13 @@ class EcoSession:
             row.verified = True
             row.verify_error = rel
             obs.add("eco.verifications")
-            if rel > self.config.verify_rtol:
+            if rel > VERIFY_RTOL:
                 failures.append((row.name, rel))
         if failures:
             worst = max(rel for _, rel in failures)
             raise ReproError(
                 f"{len(failures)} ECO candidate(s) failed verification "
-                f"(worst rel err {worst:.3e} > rtol "
-                f"{self.config.verify_rtol:g}): "
+                f"(worst rel err {worst:.3e} > rtol {VERIFY_RTOL:g}): "
                 f"{[name for name, _ in failures][:5]}"
             )
         return len(picks)

@@ -44,7 +44,6 @@ from repro.errors import ReproError
 from repro.grid.stack3d import PowerGridStack
 from repro.scenarios.spec import Scenario, ScenarioSet
 from repro.sensitivity.adjoint import (
-    AdjointConfig,
     AdjointVPSolver,
     SmoothWorstDrop,
     net_sign,
@@ -53,6 +52,10 @@ from repro.sensitivity.adjoint import (
 from repro.sensitivity.params import MetalWidthParam, ParameterSpace
 
 __all__ = ["BudgetConfig", "BudgetResult", "allocate_wire_width", "project_to_budget"]
+
+#: Trial steps (each ``shrink`` times the last) one iteration's line
+#: search tries before the allocation stops.
+MAX_BACKTRACKS = 6
 
 
 def project_to_budget(
@@ -115,7 +118,6 @@ class BudgetConfig:
     #: unit infinity-norm before stepping).
     step: float = 0.25
     shrink: float = 0.5
-    max_backtracks: int = 6
     #: Stop when one accepted step improves the objective by less (V).
     tol: float = 1e-7
     beta: float = 2000.0
@@ -198,7 +200,6 @@ class _WidthEvaluator:
             outer_tol=config.forward_tol,
             max_outer=config.max_outer,
             v0_init="loadshare",
-            record_history=False,
         )
         self.space = ParameterSpace(stack, [MetalWidthParam()])
 
@@ -245,7 +246,7 @@ class _WidthEvaluator:
             self.planes,
             plane_scale=alpha,
             r_seg=rhs_stack.pillars.r_seg,
-            config=AdjointConfig(
+            config=BatchedVPConfig(
                 outer_tol=self.config.adjoint_tol,
                 max_outer=self.config.max_outer,
                 # A stalled reverse pass would mean stepping on a garbage
@@ -340,7 +341,7 @@ def allocate_wire_width(
             direction = grad / norm
 
             accepted = False
-            for _ in range(config.max_backtracks):
+            for _ in range(MAX_BACKTRACKS):
                 trial = project_to_budget(
                     widths - step * direction, area, budget, lo, hi
                 )

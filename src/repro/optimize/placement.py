@@ -36,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.batch import BatchedVPConfig
 from repro.core.planes import PlaneFactorCache
 from repro.eco.edits import PinMaskEdit
 from repro.eco.session import EcoConfig, EcoSession
@@ -43,7 +44,6 @@ from repro.errors import ReproError
 from repro.grid.stack3d import PowerGridStack
 from repro.scenarios.spec import Scenario, ScenarioSet
 from repro.sensitivity.adjoint import (
-    AdjointConfig,
     AdjointVPSolver,
     SmoothWorstDrop,
     net_sign,
@@ -210,7 +210,7 @@ def refine_pin_placement(
             planes,
             plane_scale=alpha,
             r_seg=candidate.pillars.r_seg,
-            config=AdjointConfig(
+            config=BatchedVPConfig(
                 outer_tol=config.adjoint_tol,
                 max_outer=config.max_outer,
                 # Garbage prices would steer the greedy loop blind.

@@ -10,7 +10,6 @@ gradients feed the optimizers in :mod:`repro.optimize`.
 """
 
 from repro.sensitivity.adjoint import (
-    AdjointConfig,
     AdjointResult,
     AdjointVPSolver,
     DropMetric,
@@ -35,7 +34,6 @@ from repro.sensitivity.params import (
 )
 
 __all__ = [
-    "AdjointConfig",
     "AdjointResult",
     "AdjointVPSolver",
     "DropMetric",

@@ -47,7 +47,6 @@ from repro.scenarios.spec import Scenario
 from repro.sensitivity.params import ParameterSpace
 
 __all__ = [
-    "AdjointConfig",
     "AdjointResult",
     "AdjointVPSolver",
     "GradientResult",
@@ -227,28 +226,6 @@ def make_metric(kind: str, **kwargs) -> DropMetric:
 
 # ----------------------------------------------------------------------
 @dataclass
-class AdjointConfig:
-    """Tuning knobs of the reverse VP iteration.
-
-    The adjoint residual lives in the same volts as the forward one, but
-    gradients inherit its error amplified by the parameter scale, so the
-    default tolerance sits well below the forward default.
-    """
-
-    outer_tol: float = 1e-9
-    max_outer: int = 400
-    vda: str = "auto"
-    eta: float | None = None
-    raise_on_divergence: bool = False
-
-    def __post_init__(self) -> None:
-        if self.outer_tol <= 0:
-            raise ReproError("outer_tol must be positive")
-        if self.max_outer < 1:
-            raise ReproError("max_outer must be >= 1")
-
-
-@dataclass
 class AdjointResult:
     """Adjoint field of one metric: ``lam[l, i, j]`` multiplies the KCL
     residual of node ``(l, i, j)`` in the gradient identity."""
@@ -276,6 +253,8 @@ class AdjointVPSolver:
     *design point* (metal-width/TSV multipliers, operating corners)
     solve against the **base** factorization via the scaled-factor fast
     path -- the same reuse contract as the batched forward engine.
+    ``config`` holds the loop knobs; the seed is always the grounded pin
+    rail, so its ``v0_init`` does not apply.
     """
 
     def __init__(
@@ -285,15 +264,19 @@ class AdjointVPSolver:
         *,
         plane_scale: np.ndarray | None = None,
         r_seg: np.ndarray | None = None,
-        config: AdjointConfig | None = None,
+        config: BatchedVPConfig | None = None,
     ):
         self.stack = stack
-        self.config = config or AdjointConfig()
+        # The adjoint residual lives in the same volts as the forward
+        # one, but gradients inherit its error amplified by the parameter
+        # scale, so the default tolerance sits well below the forward
+        # default.
+        self.config = config or BatchedVPConfig(outer_tol=1e-9, max_outer=400)
         self.n_tiers = stack.n_tiers
         self.rows, self.cols = stack.rows, stack.cols
         if planes is None:
-            planes = ReducedPlaneSystem(stack, factorize=True, pillar_rows=True)
-        elif not (planes.factorized and planes.has_pillar_rows):
+            planes = ReducedPlaneSystem(stack, factorize=True)
+        elif not planes.factorized:
             raise ReproError(
                 "adjoint solves need a factorized plane system with "
                 "pillar rows"
@@ -381,11 +364,10 @@ class SensitivityConfig:
             max_outer=self.max_outer,
             vda=self.vda,
             v0_init=self.v0_init,
-            record_history=False,
         )
 
-    def adjoint_config(self) -> AdjointConfig:
-        return AdjointConfig(
+    def adjoint_config(self) -> BatchedVPConfig:
+        return BatchedVPConfig(
             outer_tol=self.adjoint_tol, max_outer=self.max_outer, vda=self.vda
         )
 

@@ -48,7 +48,6 @@ def _solve_point(
         outer_tol=outer_tol,
         max_outer=max_outer,
         v0_init="loadshare",
-        record_history=False,
     )
     return VoltagePropagationSolver(stack, config).solve().voltages
 

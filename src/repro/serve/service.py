@@ -84,9 +84,9 @@ class ServiceConfig:
     #: Max jobs in flight (queued + running) before submissions are
     #: rejected with 429.
     queue_depth: int = 64
-    #: Coalescing window in seconds: how long the dispatcher holds a
-    #: coalescible sweep job open for compatible arrivals.  0 disables
-    #: coalescing.
+    #: Coalescing window in seconds (finite, >= 0): how long the
+    #: dispatcher holds a coalescible sweep job open for compatible
+    #: arrivals.  0 disables coalescing.
     batch_window: float = 0.025
     #: Shared factor-cache bounds (entries / bytes; None = no byte cap).
     cache_entries: int = 8
@@ -102,8 +102,11 @@ class ServiceConfig:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ReproError("workers must be >= 1")
-        if self.batch_window < 0:
-            raise ReproError("batch_window must be >= 0")
+        if not (math.isfinite(self.batch_window) and self.batch_window >= 0):
+            raise ReproError(
+                f"'batch_window' must be a finite number of seconds >= 0, "
+                f"got {self.batch_window!r}"
+            )
         if self.flight_capacity < 1:
             raise ReproError("flight_capacity must be >= 1")
         if self.default_timeout is not None:

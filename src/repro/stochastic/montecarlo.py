@@ -46,25 +46,28 @@ from repro.stochastic.stats import (
 )
 
 
-@dataclass
-class MonteCarloConfig:
-    """Tuning knobs of the Monte Carlo driver."""
+#: Bootstrap resamples behind each quantile's confidence interval.
+BOOTSTRAP_RESAMPLES = 400
 
+
+@dataclass
+class MonteCarloConfig(BatchedVPConfig):
+    """Knobs of the Monte Carlo driver: the outer loop's
+    (:class:`~repro.core.batch.BatchedVPConfig`, seeded by load share by
+    default), run by every batched sample solve, plus the batching and
+    the statistics."""
+
+    v0_init: str = "loadshare"
     #: Max scenario columns per batched solve on the shared-factor path.
     batch_size: int = 32
-    outer_tol: float = 1e-4
-    max_outer: int = 200
-    vda: str = "auto"
-    v0_init: str = "loadshare"
     #: Worst-drop quantiles to estimate (each carries a bootstrap CI).
     quantiles: tuple[float, ...] = (0.5, 0.9, 0.95, 0.99)
-    bootstrap: int = 400
     confidence: float = 0.95
     #: Optional IR-drop budget (volts) for the violation probability.
     budget: float | None = None
-    raise_on_divergence: bool = False
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.batch_size < 1:
             raise ReproError("batch_size must be >= 1")
         if self.budget is not None and self.budget <= 0:
@@ -72,15 +75,6 @@ class MonteCarloConfig:
         for q in self.quantiles:
             if not 0.0 <= q <= 1.0:
                 raise ReproError(f"quantile {q} outside [0, 1]")
-
-    def batched_config(self) -> BatchedVPConfig:
-        return BatchedVPConfig(
-            outer_tol=self.outer_tol,
-            max_outer=self.max_outer,
-            vda=self.vda,
-            v0_init=self.v0_init,
-            record_history=False,
-        )
 
 
 @dataclass
@@ -163,6 +157,12 @@ def run_monte_carlo(
     pre-drawn population (the benchmark harness uses this to feed the
     identical samples to the naive reference loop).  ``cache`` lets
     several runs share one factor cache.
+
+    Raises
+    ------
+    ConvergenceError
+        When ``config.raise_on_divergence`` is set and a batch leaves a
+        sample above tolerance after ``config.max_outer`` iterations.
     """
     config = config or MonteCarloConfig()
     t_setup = time.perf_counter()
@@ -192,7 +192,6 @@ def run_monte_carlo(
         worst = np.empty(n_samples)
         converged = np.zeros(n_samples, dtype=bool)
         outers = np.zeros(n_samples, dtype=int)
-        batched_config = config.batched_config()
         stats.setup_seconds = time.perf_counter() - t_setup
 
         t_solve = time.perf_counter()
@@ -206,7 +205,7 @@ def run_monte_carlo(
             scenarios = [draw.scenario() for draw in group]
             with obs.Stopwatch("mc.batch", samples=len(group)):
                 solver = BatchedVPSolver(
-                    group_stack, scenarios, batched_config, planes=planes
+                    group_stack, scenarios, config, planes=planes
                 )
                 result = solver.solve()
             drops = _drop_fields(result.voltages, stack.v_pin)
@@ -241,13 +240,6 @@ def run_monte_carlo(
         stats.cache_hits = cache.hits - hits0
         stats.cache_misses = cache.misses - misses0
 
-    if config.raise_on_divergence and not converged.all():
-        stragglers = int(np.count_nonzero(~converged))
-        raise ReproError(
-            f"{stragglers} Monte Carlo sample(s) did not converge in "
-            f"{config.max_outer} outer iterations"
-        )
-
     return MonteCarloResult(
         spec=spec.describe(),
         n_samples=n_samples,
@@ -259,7 +251,7 @@ def run_monte_carlo(
         quantiles=quantile_table(
             worst,
             config.quantiles,
-            n_boot=config.bootstrap,
+            n_boot=BOOTSTRAP_RESAMPLES,
             confidence=config.confidence,
             rng=boot_seed,
         ),
@@ -279,23 +271,16 @@ def naive_monte_carlo(
     stack: PowerGridStack,
     draws: list[VariationDraw],
     *,
-    outer_tol: float = 1e-4,
-    max_outer: int = 200,
-    v0_init: str = "loadshare",
+    config: BatchedVPConfig | None = None,
 ) -> np.ndarray:
     """Reference loop: materialize every draw as a standalone stack and
     run :class:`VoltagePropagationSolver` from scratch (one plane
-    factorization per sample).  Returns the ``(N,)`` worst drops -- the
-    honest baseline the factor-reuse driver is benchmarked against, and
-    the parity oracle for spot checks."""
+    factorization per sample) with ``config``'s loop knobs (default:
+    :class:`MonteCarloConfig`'s).  Returns the ``(N,)`` worst drops --
+    the honest baseline the factor-reuse driver is benchmarked against,
+    and the parity oracle for spot checks."""
     worst = np.empty(len(draws))
-    config = VPConfig(
-        inner="direct",
-        outer_tol=outer_tol,
-        max_outer=max_outer,
-        v0_init=v0_init,
-        record_history=False,
-    )
+    config = VPConfig.direct(config or MonteCarloConfig())
     for k, draw in enumerate(draws):
         result = VoltagePropagationSolver(
             draw.materialize(stack), config

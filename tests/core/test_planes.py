@@ -26,9 +26,7 @@ def dense_blocks(planes, tier):
 
 class TestTransposeSolveMultiColumn:
     def test_matches_dense_transpose_oracle(self, small_stack, rng):
-        planes = ReducedPlaneSystem(
-            small_stack, factorize=True, pillar_rows=True
-        )
+        planes = ReducedPlaneSystem(small_stack, factorize=True)
         for tier in range(small_stack.n_tiers):
             a_ff, a_fp = dense_blocks(planes, tier)
             pillar_v = rng.normal(size=(planes.n_pillars, 4))
@@ -109,9 +107,7 @@ def held_arrays(system) -> dict[int, np.ndarray]:
 class TestMemoryBytes:
     def test_counts_every_array_the_system_holds(self, small_stack):
         for factorize in (True, False):
-            system = ReducedPlaneSystem(
-                small_stack, factorize=factorize, pillar_rows=True
-            )
+            system = ReducedPlaneSystem(small_stack, factorize=factorize)
             arrays = held_arrays(system)
             # The full plane matrices (the dense oracle tests read) are
             # among them.

@@ -25,7 +25,6 @@ from repro.core.transient_batch import (
 )
 from repro.core.vp import VPConfig
 from repro.errors import GridError, ReproError
-from repro.grid.generators import synthesize_stack
 from repro.scenarios import (
     Scenario,
     ScenarioSet,
@@ -316,8 +315,6 @@ class TestSettleRetirement:
     def test_settle_validation(self):
         with pytest.raises(ReproError):
             BatchedTransientConfig(settle_tol=-1.0)
-        with pytest.raises(ReproError):
-            BatchedTransientConfig(settle_window=0)
 
 
 class TestSeedsAndOverrides:

@@ -150,9 +150,7 @@ class TestZeroFactorizationContract:
 
 class TestEngineValidation:
     def test_requires_pillar_rows(self, small_stack):
-        planes = ReducedPlaneSystem(
-            small_stack, factorize=True, pillar_rows=False
-        )
+        planes = ReducedPlaneSystem(small_stack, factorize=False)
         compiled = [
             compile_candidate(
                 small_stack,
@@ -165,7 +163,7 @@ class TestEngineValidation:
                 planes,
                 pad_current_sweep((1.0,)),
                 compiled,
-                EcoConfig().solver_config(),
+                EcoConfig(),
             )
 
     def test_requires_candidates(self, small_stack):

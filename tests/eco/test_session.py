@@ -8,7 +8,7 @@ import pytest
 from repro.core.batch import BatchedVPSolver
 from repro.core.planes import PlaneFactorCache
 from repro.eco.edits import EcoCandidate, StrapEdit, TsvResizeEdit
-from repro.eco.session import EcoConfig, EcoSession
+from repro.eco.session import VERIFY_RTOL, EcoConfig, EcoSession
 from repro.eco.sweeps import generate_candidates, strap_sweep
 from repro.errors import ReproError
 from repro.scenarios import Scenario, pad_current_sweep
@@ -18,9 +18,7 @@ def brute_force_metrics(stack, candidates, config, scenarios):
     """Direct re-solve of every candidate: the ranking oracle."""
     out = []
     for cand in candidates:
-        solver = BatchedVPSolver(
-            cand.apply(stack), scenarios, config.solver_config()
-        )
+        solver = BatchedVPSolver(cand.apply(stack), scenarios, config)
         out.append(float(solver.solve().worst_ir_drop().max()))
     return out
 
@@ -91,10 +89,7 @@ class TestVerification:
         assert count == 2
         verified = [row for row in report.rows if row.verified]
         assert len(verified) == 2
-        assert all(
-            row.verify_error <= session.config.verify_rtol
-            for row in verified
-        )
+        assert all(row.verify_error <= VERIFY_RTOL for row in verified)
 
     def test_verify_fraction_validated(self):
         with pytest.raises(ReproError, match="verify_fraction"):

@@ -251,7 +251,7 @@ class TestTransposeSolve:
         """solve_free_transpose solves A^T x = b against the forward
         factors (and the plane Laplacians are verifiably symmetric)."""
         stack = small_stack(2)
-        planes = ReducedPlaneSystem(stack, factorize=True, pillar_rows=True)
+        planes = ReducedPlaneSystem(stack, factorize=True)
         matrix = planes.planes[0][0]
         asym = abs(matrix - matrix.T).max()
         assert asym == 0.0  # symmetric by construction

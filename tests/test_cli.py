@@ -301,6 +301,8 @@ class TestErrors:
             ("serve", "--port", "0", "--cache-bytes", "0"),
             ("serve", "--port", "0", "--job-timeout", "-1"),
             ("serve", "--port", "0", "--job-timeout", "0"),
+            ("serve", "--port", "0", "--batch-window", "inf"),
+            ("serve", "--port", "0", "--batch-window", "nan"),
         ],
     )
     def test_out_of_range_settings_exit_2(self, argv, capsys, monkeypatch):

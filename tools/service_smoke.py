@@ -1,6 +1,10 @@
 """End-to-end smoke of the live service: real process, real HTTP.
 
-Starts ``repro serve`` on an ephemeral port, registers a grid, runs a
+First checks that ``repro serve --batch-window inf`` (and ``nan``)
+refuses to start: each must exit 2 within 30 s with an ``error:`` line
+naming ``batch_window`` on stderr, instead of listening.
+
+Then starts ``repro serve`` on an ephemeral port, registers a grid, runs a
 sensitivity job first (a first job that is not a sweep must factor into
 the shared cache, not a private one), then fires a burst of compatible
 sweep jobs plus a Monte Carlo job, and asserts the two service-level
@@ -105,12 +109,34 @@ def fetch_text(base: str, path: str) -> str:
         return response.read().decode()
 
 
+def expect_bad_batch_window_rejected(env: dict) -> None:
+    """A batch window that is not a finite number >= 0 must stop
+    ``repro serve`` before it listens: exit 2, ``error:`` naming it."""
+    for value in ("inf", "nan"):
+        argv = [
+            sys.executable, "-m", "repro.cli", "serve",
+            "--port", "0", "--batch-window", value,
+        ]
+        try:
+            done = subprocess.run(
+                argv, env=env, capture_output=True, text=True, timeout=30
+            )
+        except subprocess.TimeoutExpired:
+            raise AssertionError(
+                f"serve --batch-window {value} did not exit within 30 s"
+            ) from None
+        assert done.returncode == 2, (value, done.returncode, done.stderr)
+        assert done.stderr.startswith("error:"), (value, done.stderr)
+        assert "batch_window" in done.stderr, (value, done.stderr)
+
+
 def main() -> int:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get(
         "PYTHONPATH", ""
     )
     env["PYTHONUNBUFFERED"] = "1"
+    expect_bad_batch_window_rejected(env)
     flight_dir = Path(tempfile.mkdtemp(prefix="repro-flight-"))
     proc = subprocess.Popen(
         [
@@ -269,7 +295,8 @@ def main() -> int:
         rc = proc.wait(timeout=30)
         assert rc == 0, f"serve exited with {rc}"
         print(
-            f"service smoke OK: 1 sensitivity + {BURST} sweeps + 1 mc, "
+            f"service smoke OK: bad --batch-window refused, "
+            f"1 sensitivity + {BURST} sweeps + 1 mc, "
             f"{coalesced} coalesced columns, 1 factorization, "
             f"keep-alive median {median * 1e3:.2f} ms, malformed input 400, "
             f"prometheus valid, {job_seconds:.0f} job_seconds observations, "
