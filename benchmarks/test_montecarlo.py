@@ -13,14 +13,17 @@ subset and *zero* plane refactorizations for TSV-only sweeps.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from repro.bench.montecarlo import run_mc_benchmark
+from repro.core.planes import PlaneFactorCache
 from repro.grid.generators import synthesize_stack
 from repro.stochastic import (
     MetalWidthVariation,
     MonteCarloConfig,
     TSVVariation,
     VariationSpec,
+    WireFieldVariation,
     run_monte_carlo,
 )
 
@@ -135,6 +138,43 @@ def test_mc_smoke(bench_once, benchmark):
         {
             "n_samples": result.n_samples,
             "speedup": report.speedup,
+            "mean_worst_drop_v": result.mean_worst_drop,
+        }
+    )
+
+
+@pytest.mark.smoke
+def test_mc_wire_smoke(bench_once, benchmark):
+    """Wire-field draws, the path ``test_mc_smoke`` never takes: each
+    draw factors its own planes (one LU per tier) outside the factor
+    cache, and no baseline is leased or factored."""
+    stack = synthesize_stack(16, 16, 3, rng=4, name="mc-wire-smoke")
+    spec = VariationSpec(wire=WireFieldVariation(sigma=0.05), name="wire")
+    n_samples = 8
+    cache = PlaneFactorCache()
+    result = bench_once(
+        run_monte_carlo, stack, spec, n_samples, seed=6, cache=cache
+    )
+    stats = result.stats
+    assert result.converged.all()
+    assert stats.refactorizations == n_samples * stack.n_tiers
+    assert stats.baseline_factorizations == 0
+    cache_state = {
+        "entries": len(cache),
+        "factorizations": cache.factorizations,
+        "hits": cache.hits,
+        "misses": cache.misses,
+        "evictions": cache.evictions,
+        "factor_bytes": cache.factor_bytes,
+    }
+    assert not any(cache_state.values()), cache_state
+    benchmark.extra_info.update(
+        {
+            "n_samples": result.n_samples,
+            "n_tiers": stack.n_tiers,
+            "refactorizations": stats.refactorizations,
+            "baseline_factorizations": stats.baseline_factorizations,
+            "cache": cache_state,
             "mean_worst_drop_v": result.mean_worst_drop,
         }
     )

@@ -20,6 +20,7 @@ partitioned structure so they share one code path:
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import threading
 from collections import OrderedDict
@@ -31,6 +32,7 @@ import scipy.sparse as sp
 from repro import obs
 from repro.core.tsv import plane_matrices
 from repro.errors import ReproError
+from repro.grid.conductance import stencil_pattern
 from repro.grid.stack3d import PowerGridStack
 from repro.linalg.direct import CONDENSE_MIN_SHARE, DirectSolver
 
@@ -121,6 +123,82 @@ def condensable_nodes(rows: int, cols: int, free_mask: np.ndarray) -> np.ndarray
     return (candidate & ~(clash & odd)).ravel()
 
 
+def _block_maps(
+    indices: np.ndarray, indptr: np.ndarray, free: np.ndarray, pillars: np.ndarray
+) -> tuple[tuple, ...]:
+    """Where ``A_ff``, ``A_fp`` and ``A_p`` find their entries in a plane
+    matrix with this CSR pattern: one read-only ``(take, indices,
+    indptr, shape)`` per block, entry ``k`` of a block being
+    ``matrix.data[take[k]]``.
+
+    The maps are the slices ``m[free][:, free]``, ``m[free][:, pillars]``
+    and ``m[pillars, :]`` of a matrix of entry positions, so a gathered
+    block is that slice of the plane matrix, entry order included.
+    """
+    n = indptr.size - 1
+    positions = sp.csr_matrix(
+        (np.arange(indices.size), indices, indptr), shape=(n, n)
+    )
+    free_rows = positions[free]
+    maps = []
+    for block in (free_rows[:, free], free_rows[:, pillars], positions[pillars, :]):
+        arrays = (block.data, block.indices, block.indptr)
+        for array in arrays:
+            array.flags.writeable = False
+        maps.append((*arrays, block.shape))
+    return tuple(maps)
+
+
+@functools.lru_cache(maxsize=4)
+def _stencil_block_maps(
+    rows: int, cols: int, pillars: bytes, free: bytes
+) -> tuple[tuple, ...]:
+    """:func:`_block_maps` of the full :func:`stencil_pattern`, memoized
+    per lattice, pillar layout and free order (~1.9 MiB at C1)."""
+    _, indices, indptr = stencil_pattern(rows, cols)
+    return _block_maps(
+        indices,
+        indptr,
+        np.frombuffer(free, dtype=np.intp),
+        np.frombuffer(pillars, dtype=np.intp),
+    )
+
+
+def plane_blocks(
+    matrix: sp.csr_matrix,
+    rows: int,
+    cols: int,
+    free: np.ndarray,
+    pillars: np.ndarray,
+) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """``A_ff``, ``A_fp`` and ``A_p`` of one plane matrix: bitwise the
+    slices ``matrix[free][:, free]``, ``matrix[free][:, pillars]`` and
+    ``matrix[pillars, :]``, gathered from ``matrix.data`` through
+    :func:`_block_maps`.
+
+    A matrix in the full :func:`stencil_pattern` (every plane without
+    pads) reuses the memoized maps of its lattice and layout.  A tier
+    with pads stores no zeros, so its open wires leave gaps in the
+    stencil; its maps come from its own pattern.
+    """
+    _, indices, indptr = stencil_pattern(rows, cols)
+    if np.array_equal(matrix.indptr, indptr) and np.array_equal(
+        matrix.indices, indices
+    ):
+        maps = _stencil_block_maps(
+            rows,
+            cols,
+            np.asarray(pillars, dtype=np.intp).tobytes(),
+            np.asarray(free, dtype=np.intp).tobytes(),
+        )
+    else:
+        maps = _block_maps(matrix.indices, matrix.indptr, free, pillars)
+    return tuple(
+        sp.csr_matrix((matrix.data[take], block_indices, block_indptr), shape=shape)
+        for take, block_indices, block_indptr, shape in maps
+    )
+
+
 def _match_columns(vector: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Broadcast a per-tier base vector against a (n, S) batch array."""
     if reference.ndim == 2 and vector.ndim == 1:
@@ -209,10 +287,10 @@ class ReducedPlaneSystem:
         for l, (matrix, rhs) in enumerate(self.planes):
             group = self.groups[l]
             if group not in cache:
-                a_ff = matrix[self.free][:, self.free].tocsr()
-                a_fp = matrix[self.free][:, self.pillar_flat].tocsr()
+                a_ff, a_fp, a_p = plane_blocks(
+                    matrix, stack.rows, stack.cols, self.free, self.pillar_flat
+                )
                 if factorize:
-                    a_p = matrix[self.pillar_flat, :].tocsr()
                     with tr.span("factorize", tier=l, n_free=self.free.size):
                         solver = DirectSolver(a_ff, spd=True)
                     cache[group] = (solver, a_fp, a_p, None)
@@ -470,7 +548,8 @@ class PlaneFactorCache:
     per-tier plane matrices bit-identical, so their
     :class:`ReducedPlaneSystem` (and its factors) can be shared; only
     samples that actually change wire conductance *fields* pay a fresh
-    factorization.  The cache makes that policy explicit and countable:
+    factorization, outside the cache (such a field never repeats).  The
+    cache makes that policy explicit and countable:
 
     * ``factorizations`` -- total LU factorizations performed through the
       cache (the quantity benchmarks assert on: a TSV-only sweep must
@@ -646,8 +725,8 @@ class PlaneFactorCache:
             )
             if victim is None:
                 # Every evictable entry is leased: one-off geometries
-                # (fresh wire-field draws) churning a fully-held cache
-                # used to grow it silently past max_entries.
+                # churning a fully-held cache used to grow it silently
+                # past max_entries.
                 self.pinned_overflow += 1
                 obs.add("cache.pinned_overflow")
                 break

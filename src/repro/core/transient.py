@@ -238,6 +238,10 @@ class TransientVPSolver:
         pillar_seed = None
         if v0 is None:
             dc = self.dc_operating_point(stimulus(0.0))
+            if not dc.converged:
+                raise ReproError(
+                    "transient VP DC operating point did not converge"
+                )
             v = dc.voltages.copy()
             # Seed the first companion solve from the DC pillar voltages
             # (later steps warm-start from the previous step anyway);

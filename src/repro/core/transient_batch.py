@@ -425,12 +425,12 @@ class BatchedTransientSolver:
             out.append((int(l), int(i), int(j)))
         return out
 
-    def _raise_diverged(self, result, names: list[str], t: float) -> None:
+    def _raise_diverged(self, result, names: list[str], solve: str) -> None:
         if result.converged.all():
             return
         bad = [n for n, ok in zip(names, result.converged) if not ok]
         raise ReproError(
-            f"transient VP step at t={t:.3e}s did not converge for "
+            f"transient VP {solve} did not converge for "
             f"{len(bad)} scenario(s): {bad[:5]}"
         )
 
@@ -462,8 +462,9 @@ class BatchedTransientSolver:
         Raises
         ------
         ReproError
-            When any scenario's VP solve fails to converge at some step
-            (mirrors the sequential solver).
+            When any scenario's VP solve fails to converge, at its DC
+            operating point or at some step (mirrors the sequential
+            solver).
         GridError
             On a bad probe or ``v0`` shape.
         """
@@ -530,6 +531,11 @@ class BatchedTransientSolver:
                             stack.pillars.count,
                         )
                     dc_res = group.dc_solver.solve(v0=seed)
+                    self._raise_diverged(
+                        dc_res,
+                        [self.scenarios[c].name for c in cols_g],
+                        "DC operating point",
+                    )
                     group.v = dc_res.voltages.reshape(n_tiers, n, cols_g.size)
                     group.pillar_seed = dc_res.pillar_v0
                 else:
@@ -561,7 +567,9 @@ class BatchedTransientSolver:
                         )
                         res = group.comp_solver.solve(v0=group.pillar_seed)
                     self._raise_diverged(
-                        res, [self.scenarios[c].name for c in cols_g], t
+                        res,
+                        [self.scenarios[c].name for c in cols_g],
+                        f"step at t={t:.3e}s",
                     )
                     v_prev = group.v
                     group.v = res.voltages.reshape(n_tiers, n, cols_g.size)

@@ -7,6 +7,8 @@ the nodal system ``G x = b`` under the sign conventions documented in
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -56,6 +58,31 @@ def _laplacian_from_edges(
     return lap
 
 
+@functools.lru_cache(maxsize=8)
+def stencil_pattern(rows: int, cols: int) -> tuple[np.ndarray, ...]:
+    """CSR pattern of the 5-point stencil on a ``rows x cols`` lattice.
+
+    Each node's row stores its north ``(i-1, j)``, west ``(i, j-1)``,
+    own, east ``(i, j+1)`` and south ``(i+1, j)`` slots, in that
+    (column) order, for the neighbours that exist.  Returns read-only
+    ``(present, indices, indptr)``, where ``present`` is the ``(rows,
+    cols, 5)`` mask of existing slots: ``values[present]`` lists a slot
+    array's stored entries in CSR order.
+    """
+    n = rows * cols
+    present = np.ones((rows, cols, 5), dtype=bool)
+    present[0, :, 0] = present[:, 0, 1] = False
+    present[:, -1, 3] = present[-1, :, 4] = False
+    node = np.arange(n).reshape(rows, cols, 1)
+    index_dtype = np.int32 if 5 * n < 2**31 else np.int64
+    indices = (node + np.array([-cols, -1, 0, 1, cols]))[present].astype(index_dtype)
+    indptr = np.zeros(n + 1, dtype=index_dtype)
+    np.cumsum(np.count_nonzero(present, axis=2).ravel(), out=indptr[1:])
+    for array in (present, indices, indptr):
+        array.flags.writeable = False
+    return present, indices, indptr
+
+
 def grid2d_matrix(grid: Grid2D) -> tuple[sp.csr_matrix, np.ndarray]:
     """Full nodal system ``(G, b)`` of a stand-alone tier.
 
@@ -63,9 +90,33 @@ def grid2d_matrix(grid: Grid2D) -> tuple[sp.csr_matrix, np.ndarray]:
     rail injection minus the device loads.  ``G`` is singular when the tier
     has no pads (no DC path to a rail) -- callers that need a solvable
     system should check :func:`repro.grid.validate.validate_grid2d`.
+
+    ``G`` is written straight into the :func:`stencil_pattern` and is
+    bitwise the Laplacian of the tier's edge list (``tier_edges``): the
+    diagonal sums ``((E + S) + W) + N`` and then the pad, and only a
+    tier with pads drops its zero entries (open wires).
     """
-    u, v, g = tier_edges(grid)
-    lap = _laplacian_from_edges(grid.n_nodes, u, v, g, grid.g_pad.ravel())
+    rows, cols, n = grid.rows, grid.cols, grid.n_nodes
+    # Edge conductance per slot; -0.0 marks a missing neighbour, which
+    # leaves the diagonal sum unchanged bit for bit.
+    slots = np.full((rows, cols, 5), -0.0)
+    slots[1:, :, 0] = grid.g_v
+    slots[:, 1:, 1] = grid.g_h
+    slots[:, :-1, 3] = grid.g_h
+    slots[:-1, :, 4] = grid.g_v
+    diag = ((slots[..., 3] + slots[..., 4]) + slots[..., 1]) + slots[..., 0]
+    pads = bool(np.any(grid.g_pad))
+    if pads:
+        diag += grid.g_pad
+    np.negative(slots, out=slots)
+    slots[..., 2] = diag
+    present, indices, indptr = stencil_pattern(rows, cols)
+    lap = sp.csr_matrix(
+        (slots[present], indices.copy(), indptr.copy()), shape=(n, n)
+    )
+    if pads or n == 1:
+        # `lap + diags` stored no zeros; a lone node has no edge at all.
+        lap.eliminate_zeros()
     b = grid.g_pad.ravel() * grid.v_pad - grid.loads.ravel()
     return lap, b
 

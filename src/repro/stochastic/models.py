@@ -255,10 +255,14 @@ class VariationSpec:
         """Draw one sample (consumes ``rng`` in a fixed order)."""
         draw = VariationDraw(index=index)
         if self.wire is not None and self.wire.active:
-            draw.wire = [
+            wire = [
                 self.wire.sample_tier_factors(stack.rows, stack.cols, rng)
                 for _ in stack.tiers
             ]
+            # A pad spread alone leaves a stack without pads as it was:
+            # such a draw keeps sharing the baseline planes.
+            if self.wire.sigma > 0 or any(t.g_pad.any() for t in stack.tiers):
+                draw.wire = wire
         if self.width is not None and self.width.active:
             draw.plane_scale = self.width.sample(stack.n_tiers, rng)
         if self.tsv is not None and self.tsv.active:

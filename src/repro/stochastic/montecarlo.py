@@ -7,11 +7,15 @@ the samples allow:
 * draws that leave the plane matrices untouched (TSV spreads) or only
   scale them globally (metal-width ``G -> alpha G``) are grouped and
   pushed through :class:`~repro.core.batch.BatchedVPSolver` in chunks,
-  all against the **baseline** factorization held in a
+  all against the **baseline** factorization leased from a
   :class:`~repro.core.planes.PlaneFactorCache` -- zero refactorizations;
-* draws that change wire-conductance *fields* are solved one by one
-  against a fresh factorization (counted as a refactorization; the
-  cache still deduplicates identical geometries).
+* draws that change wire-conductance *fields* are solved one by one,
+  each against its own :class:`~repro.core.planes.ReducedPlaneSystem`
+  (one LU per distinct tier, counted as refactorizations).  A
+  continuous field never repeats, so these systems are built outside
+  the cache and freed after the solve: they neither take an entry nor
+  evict a live one, and a run whose every draw is a wire-field draw
+  leases (and factors) no baseline at all.
 
 Per-sample cost on the fast path is therefore a handful of multi-column
 back-substitutions -- the "near a back-substitution, never a
@@ -25,13 +29,14 @@ memory stays at a few fields regardless of the sample count.
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro import obs
 from repro.core.batch import BatchedVPConfig, BatchedVPSolver
-from repro.core.planes import PlaneFactorCache
+from repro.core.planes import PlaneFactorCache, ReducedPlaneSystem
 from repro.core.vp import VPConfig, VoltagePropagationSolver
 from repro.errors import ReproError
 from repro.grid.stack3d import PowerGridStack
@@ -84,11 +89,13 @@ class MonteCarloStats:
     setup_seconds: float = 0.0
     solve_seconds: float = 0.0
     n_batches: int = 0
-    #: LU factorizations performed for the baseline geometry.
+    #: LU factorizations performed for the baseline geometry (0 when
+    #: the cache already held it, or when no draw shares it).
     baseline_factorizations: int = 0
     #: LU factorizations forced by samples (wire-field draws).  The
     #: acceptance contract: TSV-only / width-only sweeps keep this at 0.
     refactorizations: int = 0
+    #: The baseline lease's cache lookup (wire-field draws skip the cache).
     cache_hits: int = 0
     cache_misses: int = 0
     #: Total scenario-column back-substitution rounds across batches.
@@ -177,15 +184,18 @@ def run_monte_carlo(
 
     if cache is None:
         cache = PlaneFactorCache()
+    shared = [draw for draw in draws if draw.shares_baseline_planes]
+    unique = [draw for draw in draws if not draw.shares_baseline_planes]
     hits0, misses0 = cache.hits, cache.misses
     factorizations0 = cache.factorizations
-    # Lease the shared-geometry entry for the run: wire-field draws
-    # churn the cache tail, but the baseline must survive every batch.
-    with cache.lease(stack) as baseline:
+    # Only draws that share the stack's own planes need its factors: a
+    # wire-only run leases (and, on a cold cache, factors) nothing.
+    with (cache.lease(stack) if shared else nullcontext()) as baseline:
         stats = MonteCarloStats(
             baseline_factorizations=cache.factorizations - factorizations0,
+            cache_hits=cache.hits - hits0,
+            cache_misses=cache.misses - misses0,
         )
-        factorizations_after_baseline = cache.factorizations
 
         n_tiers, rows, cols = stack.n_tiers, stack.rows, stack.cols
         field_stats = RunningFieldStats((n_tiers, rows, cols))
@@ -220,25 +230,21 @@ def run_monte_carlo(
             reg.add("mc.batches")
             reg.add("mc.samples", len(group))
 
-        shared = [draw for draw in draws if draw.shares_baseline_planes]
-        unique = [draw for draw in draws if not draw.shares_baseline_planes]
-
         for start in range(0, len(shared), config.batch_size):
             chunk = shared[start : start + config.batch_size]
             solve_group(stack, chunk, baseline)
 
         for draw in unique:
             perturbed = draw.wire_stack(stack)
-            with cache.lease(perturbed) as planes:
-                solve_group(perturbed, [draw], planes)
-            del planes  # free the draw's factors with the cache (peak RSS)
+            # A continuous field never repeats, so the draw's planes are
+            # factored outside the cache: a one-off geometry would only
+            # take an entry and evict a live one.
+            planes = ReducedPlaneSystem(perturbed)
+            stats.refactorizations += planes.n_factorizations
+            solve_group(perturbed, [draw], planes)
+            del planes  # free the draw's factors before the next (peak RSS)
 
         stats.solve_seconds = time.perf_counter() - t_solve
-        stats.refactorizations = (
-            cache.factorizations - factorizations_after_baseline
-        )
-        stats.cache_hits = cache.hits - hits0
-        stats.cache_misses = cache.misses - misses0
 
     return MonteCarloResult(
         spec=spec.describe(),

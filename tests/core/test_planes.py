@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from repro.core.planes import ReducedPlaneSystem
+from repro.core.planes import ReducedPlaneSystem, condensable_nodes, plane_blocks
+from repro.grid.generators import synthesize_stack
 
 
 def dense_blocks(planes, tier):
@@ -22,6 +24,74 @@ def dense_blocks(planes, tier):
     a_ff = matrix[planes.free][:, planes.free].toarray()
     a_fp = matrix[planes.free][:, planes.pillar_flat].toarray()
     return a_ff, a_fp
+
+
+def same_csr(actual, expected) -> bool:
+    return actual.shape == expected.shape and all(
+        getattr(actual, name).dtype == getattr(expected, name).dtype
+        and getattr(actual, name).tobytes() == getattr(expected, name).tobytes()
+        for name in ("indptr", "indices", "data")
+    )
+
+
+@st.composite
+def open_wire_stacks(draw):
+    """Pitch-2 and pitch-3 stacks whose tiers may carry open wires
+    (zero conductances) and in-plane pads."""
+    rows, cols = draw(st.integers(4, 11)), draw(st.integers(4, 11))
+    stack = synthesize_stack(
+        rows, cols, draw(st.integers(1, 3)),
+        tsv_pitch=draw(st.sampled_from([2, 3])),
+        replicate_tier=draw(st.booleans()),
+        rng=draw(st.integers(0, 2**16)),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    open_share = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    for tier in stack.tiers:
+        tier.g_h = np.where(rng.random(tier.g_h.shape) < open_share, 0.0, tier.g_h)
+        tier.g_v = np.where(rng.random(tier.g_v.shape) < open_share, 0.0, tier.g_v)
+        if draw(st.booleans()):
+            tier.g_pad = np.where(rng.random((rows, cols)) < 0.2, 3.0, 0.0)
+    return stack
+
+
+class TestPlaneBlocks:
+    """The plane blocks are gathered through index maps; they must be
+    the three slices of the plane matrix bit for bit, in the natural and
+    in the condensed free order."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(stack=open_wire_stacks())
+    def test_equal_to_the_slices(self, stack):
+        # A node cut off on every side has a zero Jacobi diagonal.
+        with np.errstate(divide="ignore"):
+            system = ReducedPlaneSystem(stack, factorize=False)
+        free_mask = np.ones(system.n, dtype=bool)
+        free_mask[system.pillar_flat] = False
+        lead = condensable_nodes(stack.rows, stack.cols, free_mask)
+        condensed = np.concatenate(
+            (np.flatnonzero(lead), np.flatnonzero(free_mask & ~lead))
+        )
+        pillars = system.pillar_flat
+        for free in (system.free, condensed):
+            for matrix, _ in system.planes:
+                expected = (
+                    matrix[free][:, free],
+                    matrix[free][:, pillars],
+                    matrix[pillars, :],
+                )
+                blocks = plane_blocks(matrix, stack.rows, stack.cols, free, pillars)
+                assert all(map(same_csr, blocks, expected))
+        for l, (matrix, _) in enumerate(system.planes):
+            assert same_csr(system.a_ff[l], matrix[system.free][:, system.free])
+
+    def test_factored_system_holds_the_slices(self, small_stack):
+        system = ReducedPlaneSystem(small_stack, factorize=True)
+        free, pillars = system.free, system.pillar_flat
+        assert not np.array_equal(free, np.sort(free))  # condensed order
+        for l, (matrix, _) in enumerate(system.planes):
+            assert same_csr(system.a_fp[l], matrix[free][:, pillars])
+            assert same_csr(system.a_pillar[l], matrix[pillars, :])
 
 
 class TestTransposeSolveMultiColumn:

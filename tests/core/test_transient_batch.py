@@ -398,3 +398,48 @@ class TestValidation:
     def test_empty_scenarioset_rejected(self, small_stack):
         with pytest.raises(ReproError):
             BatchedTransientSolver(small_stack, [], CAPS, DT)
+
+
+class TestDCSeedConvergence:
+    """Both engines start the waveform from a DC operating point and
+    must refuse one that did not converge, as they refuse a step."""
+
+    def _inputs(self):
+        from repro.grid.generators import synthesize_stack
+
+        stack = synthesize_stack(12, 12, 3, rng=5, r_tsv=0.5)
+        scenarios = load_step_sweep((1.0,), t_step=1e-10, before=1.0)
+        return stack, scenarios, 2e-11, 5e-11
+
+    def _batched(self, max_outer):
+        stack, scenarios, caps, dt = self._inputs()
+        config = BatchedTransientConfig(max_outer=max_outer)
+        return BatchedTransientSolver(stack, scenarios, caps, dt, config).run(
+            6e-10
+        )
+
+    def _sequential(self, max_outer):
+        from repro.bench.transient import run_sequential_transient
+
+        stack, scenarios, caps, dt = self._inputs()
+        return run_sequential_transient(
+            stack, scenarios, caps, dt, 6e-10,
+            BatchedTransientConfig(max_outer=max_outer),
+        )[0]
+
+    @pytest.mark.parametrize("engine", ["_batched", "_sequential"])
+    def test_unconverged_dc_seed_raises(self, engine):
+        with pytest.raises(ReproError, match="DC operating point"):
+            getattr(self, engine)(10)
+
+    def test_batched_error_names_the_scenarios(self):
+        message = r"DC operating point did not converge for 1 scenario\(s\)"
+        with pytest.raises(ReproError, match=message + r": \['step-to-1'\]"):
+            self._batched(10)
+
+    def test_converged_dc_seed_runs_on_both_engines(self):
+        batched = self._batched(20)
+        sequential = self._sequential(20)
+        np.testing.assert_array_equal(
+            batched.worst_voltage[:, 0], sequential.worst_voltage
+        )

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import GridError
 from repro.grid.conductance import (
+    _laplacian_from_edges,
     grid2d_matrix,
     grid2d_system,
     stack_node_index,
@@ -23,6 +24,7 @@ from repro.grid.conductance import (
 )
 from repro.grid.generators import synthesize_stack
 from repro.grid.grid2d import Grid2D
+from repro.grid.validate import validate_grid2d
 
 
 class TestTierEdges:
@@ -68,6 +70,90 @@ class TestGrid2DMatrix:
         grid.loads[0, 0] = 0.5
         _, rhs = grid2d_matrix(grid)
         assert rhs[0] == -0.5
+
+
+def edge_laplacian(grid: Grid2D):
+    """The tier Laplacian assembled from its edge list, as
+    :func:`stack_system` assembles the whole stack."""
+    return _laplacian_from_edges(
+        grid.n_nodes, *tier_edges(grid), grid.g_pad.ravel()
+    )
+
+
+def assert_same_csr(actual, expected):
+    assert actual.shape == expected.shape
+    for name in ("indptr", "indices", "data"):
+        a, e = getattr(actual, name), getattr(expected, name)
+        assert a.dtype == e.dtype, name
+        assert a.tobytes() == e.tobytes(), name
+
+
+#: Conductances with open wires (zeros) among them.
+conductances = st.one_of(
+    st.just(0.0), st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+)
+
+
+@st.composite
+def tiers(draw, max_side: int = 6) -> Grid2D:
+    rows = draw(st.integers(1, max_side))
+    cols = draw(st.integers(1, max_side))
+
+    def field(shape):
+        values = draw(st.lists(conductances, min_size=int(np.prod(shape)),
+                               max_size=int(np.prod(shape))))
+        return np.array(values, dtype=float).reshape(shape)
+
+    grid = Grid2D(
+        rows=rows, cols=cols,
+        g_h=field((rows, max(cols - 1, 0))),
+        g_v=field((max(rows - 1, 0), cols)),
+    )
+    if draw(st.booleans()):
+        grid.g_pad = field((rows, cols))
+        grid.v_pad = 1.8
+    return grid
+
+
+class TestStencilAssembly:
+    """``grid2d_matrix`` writes the 5-point stencil straight into CSR;
+    it must be bitwise the edge-list Laplacian it replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=tiers())
+    def test_bitwise_equal_to_the_edge_laplacian(self, grid):
+        assert_same_csr(grid2d_matrix(grid)[0], edge_laplacian(grid))
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1), (2, 2)])
+    @pytest.mark.parametrize("pads", [False, True])
+    def test_degenerate_lattices(self, shape, pads, rng):
+        grid = Grid2D.uniform(*shape)
+        grid.g_h = grid.g_h * rng.uniform(0.5, 2.0, grid.g_h.shape)
+        grid.g_v = grid.g_v * rng.uniform(0.5, 2.0, grid.g_v.shape)
+        if grid.g_h.size:
+            grid.g_h[0, 0] = 0.0
+        if pads:
+            grid.g_pad[0, 0] = 4.0
+        assert_same_csr(grid2d_matrix(grid)[0], edge_laplacian(grid))
+
+    def test_zeros_kept_without_pads_dropped_with_them(self):
+        grid = Grid2D.uniform(3, 3)
+        grid.g_h[1, 0] = 0.0
+        assert grid2d_matrix(grid)[0].nnz == 5 * 9 - 4 * 3
+        grid.g_pad[0, 0] = 1.0
+        matrix, _ = grid2d_matrix(grid)
+        assert matrix.nnz == 5 * 9 - 4 * 3 - 2
+        assert np.all(matrix.data != 0)
+
+    def test_validate_flags_an_island_cut_off_by_an_open_wire(self):
+        grid = Grid2D.uniform(4, 4)
+        grid.g_pad[0, 0] = 10.0
+        grid.g_h[3, 2] = 0.0  # isolate the bottom-right corner node
+        grid.g_v[2, 3] = 0.0
+        report = validate_grid2d(grid)
+        assert "1 of 2 connected components have no path to a pad" in (
+            report.errors
+        )
 
 
 class TestGrid2DSystem:

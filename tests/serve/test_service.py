@@ -256,6 +256,30 @@ class TestCacheLeases:
         assert (svc.cache.hits, svc.cache.misses) == (0, 3)
         assert _cross_request_hits() == before
 
+    def test_wire_mc_keeps_other_grids_resident(self):
+        """A wire-field mc job factors each draw outside the cache: on
+        a one-entry cache it leaves g1's warm entry resident (a leased
+        g2 baseline used to evict it) and g1's next sweep is a hit."""
+        svc = _one_entry_service(workers=1)
+        key = stack_plane_signature(svc._stack("g1"))
+        with svc:
+            first = svc.submit("sweep", "g1", {})
+            assert svc.wait(first.id, timeout=60).state == "done"
+            cache = svc.cache
+            before = (cache.factorizations, cache.misses, cache.evictions)
+            mc = svc.submit(
+                "mc", "g2", {"samples": 3, "sigma_wire": 0.05, "seed": 1}
+            )
+            done = svc.wait(mc.id, timeout=120)
+            assert done.state == "done", done.error
+            assert done.result["refactorizations"] == 3 * 2  # 2 tiers
+            assert list(cache._entries) == [key]
+            assert (cache.factorizations, cache.misses, cache.evictions) == before
+            again = svc.submit("sweep", "g1", {})
+            assert svc.wait(again.id, timeout=60).state == "done"
+            assert cache.factorizations == before[0]
+        assert not svc.cache._leases
+
     def test_mixed_soak_leaks_no_lease(self):
         """24 concurrent jobs of every kind over two grids through a
         one-entry cache: every job finishes, no lease survives the

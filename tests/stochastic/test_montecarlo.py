@@ -83,16 +83,67 @@ class TestFactorReuse:
         assert second.stats.baseline_factorizations == 0
 
     def test_baseline_survives_wire_churn(self, small_stack):
-        """Wire-field draws insert one-off geometries; the pinned
-        baseline entry must not be evicted between runs."""
+        """Wire-field draws factor their own planes outside the cache:
+        TSV, wire, TSV through a two-entry cache pays nothing new on the
+        last run, and the wire run leaves the cache as it found it."""
         cache = PlaneFactorCache(max_entries=2)
-        wire = VariationSpec(wire=WireFieldVariation(sigma=0.1))
-        run_monte_carlo(small_stack, wire, 5, seed=0, cache=cache)
-        before = cache.factorizations
         tsv = VariationSpec(tsv=TSVVariation(sigma=0.1))
-        result = run_monte_carlo(small_stack, tsv, 4, seed=1, cache=cache)
-        assert cache.factorizations == before  # baseline still resident
+        wire = VariationSpec(wire=WireFieldVariation(sigma=0.1))
+        run_monte_carlo(small_stack, tsv, 4, seed=0, cache=cache)
+
+        def state():
+            return len(cache), cache.factor_bytes, cache.misses, cache.evictions
+
+        before = state()
+        churn = run_monte_carlo(small_stack, wire, 5, seed=1, cache=cache)
+        assert state() == before
+        assert churn.stats.baseline_factorizations == 0
+        assert churn.stats.refactorizations == 5 * small_stack.n_tiers
+        factorizations = cache.factorizations
+        result = run_monte_carlo(small_stack, tsv, 4, seed=2, cache=cache)
+        assert cache.factorizations == factorizations  # baseline resident
         assert result.stats.baseline_factorizations == 0
+
+    def test_mixed_population_leases_the_baseline_once(self, small_stack):
+        wire = VariationSpec(wire=WireFieldVariation(sigma=0.1))
+        tsv = VariationSpec(tsv=TSVVariation(sigma=0.1))
+        mixed = wire.sample(small_stack, 3, rng=4) + tsv.sample(
+            small_stack, 3, rng=5
+        )
+        draws = [mixed[k] for k in (0, 3, 1, 4, 5, 2)]
+        for k, draw in enumerate(draws):
+            draw.index = k
+        cache = PlaneFactorCache()
+        leased = []
+        lease = cache.lease
+
+        def counting_lease(stack):
+            leased.append(stack)
+            return lease(stack)
+
+        cache.lease = counting_lease
+        result = run_monte_carlo(
+            small_stack, wire, 6, seed=6, cache=cache, draws=draws
+        )
+        assert len(leased) == 1 and leased[0] is small_stack
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert result.stats.baseline_factorizations == 1
+        assert result.stats.refactorizations == 3 * small_stack.n_tiers
+        assert result.converged.all()
+
+    def test_pad_spread_on_a_padless_stack_shares_the_baseline(
+        self, small_stack
+    ):
+        """Without pads a pad spread changes no plane, so its draws
+        ride the baseline factors instead of factoring copies of them."""
+        spec = VariationSpec(
+            wire=WireFieldVariation(sigma=0.0, sigma_pad=0.2),
+            tsv=TSVVariation(sigma=0.1),
+        )
+        assert not any(tier.g_pad.any() for tier in small_stack.tiers)
+        result = run_monte_carlo(small_stack, spec, 4, seed=3)
+        assert result.stats.baseline_factorizations == 1
+        assert result.stats.refactorizations == 0
 
 
 class TestParity:
