@@ -101,6 +101,7 @@ def test_batched_transient_speedup(circuit_cache, bench_once, benchmark):
             "speedup": report.speedup,
             "max_parity_error_v": report.max_parity_error,
             "factorizations": report.factorizations,
+            "dc_columns": report.dc_columns,
             "max_worst_droop_v": float(result.worst_droop.max()),
         }
     )
@@ -143,13 +144,17 @@ def test_transient_smoke(bench_once, benchmark):
     np.testing.assert_allclose(
         result.worst_droop, report.sequential_droops, rtol=PARITY_RTOL, atol=0
     )
-    # 4 decap placements -> 4 companion groups sharing one DC geometry.
+    # 4 decap placements -> 4 companion groups sharing one DC geometry,
+    # and every scenario has the same t = 0 problem (activity 0.2, no
+    # load or TSV corner): one DC column serves all 16.
     assert report.n_groups == 4
+    assert report.dc_columns == 1
     benchmark.extra_info.update(
         {
             "n_scenarios": report.n_scenarios,
             "speedup": report.speedup,
             "factorizations": report.factorizations,
+            "dc_columns": report.dc_columns,
             "max_worst_droop_v": float(result.worst_droop.max()),
         }
     )

@@ -84,6 +84,8 @@ class TransientSweepReport:
     n_groups: int
     factorizations: int
     column_steps: int
+    #: Columns of the t = 0 DC solves (one per distinct DC problem).
+    dc_columns: int
     sequential_seconds: float | None = None
     max_parity_error: float | None = None
     #: ``(S,)`` worst droops of the sequential oracle (set by
@@ -178,6 +180,7 @@ class TransientSweepReport:
             "n_factor_groups": self.n_groups,
             "factorizations": self.factorizations,
             "column_steps": self.column_steps,
+            "dc_columns": self.dc_columns,
             "sequential_seconds": self.sequential_seconds,
             "speedup": self.speedup,
             "max_parity_error_v": self.max_parity_error,
@@ -274,6 +277,7 @@ def run_transient_sweep(
         n_groups=result.stats.n_groups,
         factorizations=result.stats.factorizations,
         column_steps=result.stats.column_steps,
+        dc_columns=result.stats.dc_columns,
         batched_result=result,
     )
 

@@ -172,10 +172,11 @@ class BatchedVPResult:
 class BatchedVPSolver:
     """VP solver vectorized over a scenario set sharing one topology.
 
-    Structure-dependent setup -- the grouped plane factorizations, the
-    per-scenario RHS batches, and the ``(T, P, S)`` segment-resistance
-    table -- happens once in the constructor; :meth:`solve` runs the
-    lockstep outer iteration with early retirement.
+    Structure-dependent setup -- the grouped plane factorizations and
+    the ``(T, P, S)`` segment-resistance table -- happens once in the
+    constructor; :meth:`solve` runs the lockstep outer iteration with
+    early retirement, on the RHS batches :meth:`set_rhs` wrote or, when
+    none came first, on the stack's own loads.
     """
 
     def __init__(
@@ -212,24 +213,13 @@ class BatchedVPSolver:
         self.plane_scale = alpha
         self._has_plane_scale = bool(np.any(alpha != 1.0))
 
-        # Per-scenario right-hand sides: (n_free, S) / (P, S) per tier,
-        # each formed straight from its own rows (no full (n, S) batch).
-        # The pad term carries the plane scaling (pads are conductances of
-        # the scaled plane); loads are currents and scale independently.
-        load_scales = self.scenarios.load_scale_matrix(self.n_tiers)
-        self._b_free: list[np.ndarray] = []
-        self._b_pillar: list[np.ndarray] = []
-        for l, tier in enumerate(stack.tiers):
-            pad_term = (tier.g_pad * tier.v_pad).ravel()
-            loads = tier.loads.ravel()
-            for rows, out in (
-                (self.planes.free, self._b_free),
-                (self.pillar_flat, self._b_pillar),
-            ):
-                out.append(
-                    pad_term[rows][:, None] * alpha[l][None, :]
-                    - loads[rows][:, None] * load_scales[l][None, :]
-                )
+        # Per-scenario right-hand sides, (n_free, S) / (P, S) per tier:
+        # set_rhs() writes them, and solve() builds the stack's own only
+        # when no set_rhs() came first (callers that push every RHS never
+        # pay for a default one).
+        self._load_scales = self.scenarios.load_scale_matrix(self.n_tiers)
+        self._b_free: list[np.ndarray] | None = None
+        self._b_pillar: list[np.ndarray] | None = None
 
         # Segment resistances as a (T, P, S) design tensor (scalar design
         # knob plus any per-segment process spread).
@@ -242,51 +232,76 @@ class BatchedVPSolver:
             degree[:, None] * alpha[0][None, :], self.r_seg, stack.pillars.has_pin
         )
         base_totals = np.array([tier.total_load() for tier in stack.tiers])
-        self._tier_totals = base_totals[:, None] * load_scales  # (T, S)
+        self._tier_totals = base_totals[:, None] * self._load_scales  # (T, S)
 
         self._setup_seconds = time.perf_counter() - t_start
 
     # ------------------------------------------------------------------
+    def _default_rhs(self) -> None:
+        """The RHS batches of the stack's own loads under each scenario,
+        each formed straight from its own rows (no full ``(n, S)``
+        batch).  The pad term carries the plane scaling (pads are
+        conductances of the scaled plane); loads are currents and scale
+        independently."""
+        alpha = self.plane_scale
+        self._b_free, self._b_pillar = [], []
+        for l, tier in enumerate(self.stack.tiers):
+            pad_term = (tier.g_pad * tier.v_pad).ravel()
+            loads = tier.loads.ravel()
+            for rows, out in (
+                (self.planes.free, self._b_free),
+                (self.pillar_flat, self._b_pillar),
+            ):
+                out.append(
+                    pad_term[rows][:, None] * alpha[l][None, :]
+                    - loads[rows][:, None] * self._load_scales[l][None, :]
+                )
+
     def set_rhs(self, tier_rhs: list[np.ndarray]) -> None:
         """Replace the per-scenario plane right-hand sides.
 
-        The constructor derives the RHS batches from the stack's static
-        loads and the scenarios' load scales; drivers that move the RHS
-        every solve -- the batched transient engine folds the
-        backward-Euler history term ``(C/h) v_{k-1}`` into per-step
-        loads -- push the full vectors here instead.  Matrices and
-        factors are untouched (loads never enter them).
+        By default :meth:`solve` derives the RHS batches from the
+        stack's static loads and the scenarios' load scales; callers
+        that move the RHS every solve -- the batched transient engine
+        folds the backward-Euler history term ``(C/h) v_{k-1}`` into
+        per-step loads -- push the full vectors here instead.  Matrices
+        and factors are untouched (loads never enter them).
 
         Parameters
         ----------
         tier_rhs:
             One ``(rows * cols, S)`` array per tier: the full-node RHS
             ``g_pad * v_pad - loads`` of each scenario column, in the
-            stack's row-major node order.  Sliced into the free/pillar
-            partitions internally.
+            stack's row-major node order.  Gathered into the solver's
+            own free/pillar partition arrays, which later calls
+            overwrite in place.
 
         Raises
         ------
         GridError
-            On a tier-count or shape mismatch.
+            On a tier-count or shape mismatch (nothing is written).
         """
         if len(tier_rhs) != self.n_tiers:
             raise GridError(
                 f"expected {self.n_tiers} RHS arrays, got {len(tier_rhs)}"
             )
         n = self.rows * self.cols
-        b_free, b_pillar = [], []
+        tier_rhs = [np.asarray(rhs, dtype=float) for rhs in tier_rhs]
         for l, rhs in enumerate(tier_rhs):
-            rhs = np.asarray(rhs, dtype=float)
             if rhs.shape != (n, self.n_scenarios):
                 raise GridError(
                     f"tier {l} RHS shape {rhs.shape} != "
                     f"{(n, self.n_scenarios)}"
                 )
-            b_free.append(np.ascontiguousarray(rhs[self.planes.free]))
-            b_pillar.append(np.ascontiguousarray(rhs[self.pillar_flat]))
-        self._b_free = b_free
-        self._b_pillar = b_pillar
+        if self._b_free is None:
+            s = self.n_scenarios
+            self._b_free = [np.empty((self.planes.n_free, s)) for _ in tier_rhs]
+            self._b_pillar = [np.empty((self.pillar_flat.size, s)) for _ in tier_rhs]
+        for rhs, b_free, b_pillar in zip(tier_rhs, self._b_free, self._b_pillar):
+            # "clip" never triggers (the partitions index valid rows) and,
+            # unlike the default, writes into ``out`` without a buffer.
+            np.take(rhs, self.planes.free, axis=0, out=b_free, mode="clip")
+            np.take(rhs, self.pillar_flat, axis=0, out=b_pillar, mode="clip")
 
     # ------------------------------------------------------------------
     @property
@@ -294,8 +309,8 @@ class BatchedVPSolver:
         """Solver state: shared plane blocks plus the batched RHS/field
         arrays."""
         total = self.planes.memory_bytes
-        for b_f, b_p in zip(self._b_free, self._b_pillar):
-            total += b_f.nbytes + b_p.nbytes
+        n_rhs = self.planes.n_free + self.pillar_flat.size
+        total += self.n_tiers * n_rhs * self.n_scenarios * 8
         total += self.r_seg.nbytes + self.pillars.bound.nbytes
         # Voltage fields and pillar batch vectors.
         total += self.n_tiers * self.rows * self.cols * self.n_scenarios * 8
@@ -341,6 +356,8 @@ class BatchedVPSolver:
         """
         config = self.config
         scale = self.plane_scale if self._has_plane_scale else None
+        if self._b_free is None:
+            self._default_rhs()
         loop = run_outer_loop(
             FactoredPlanes(self.planes, self._b_free, self._b_pillar, scale),
             self.pillars,

@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from repro import obs
 from repro.core.tsv import plane_matrices
-from repro.errors import ReproError
+from repro.errors import ReproError, SingularSystemError
 from repro.grid.conductance import stencil_pattern
 from repro.grid.stack3d import PowerGridStack
 from repro.linalg.direct import CONDENSE_MIN_SHARE, DirectSolver
@@ -228,6 +228,13 @@ class ReducedPlaneSystem:
         kept instead (the ``cg`` inner solver, which extracts drawn
         currents from the full matrices).
 
+    Raises
+    ------
+    SingularSystemError
+        At construction, on either path, when a free node is floating
+        (every wire open and no pad): the message names the tier and the
+        node's ``(row, col)``.
+
     Attributes
     ----------
     free:
@@ -290,6 +297,15 @@ class ReducedPlaneSystem:
                 a_ff, a_fp, a_p = plane_blocks(
                     matrix, stack.rows, stack.cols, self.free, self.pillar_flat
                 )
+                diagonal = a_ff.diagonal()
+                floating = np.flatnonzero(diagonal == 0.0)
+                if floating.size:
+                    row, col = divmod(int(self.free[floating[0]]), stack.cols)
+                    raise SingularSystemError(
+                        f"tier {l}: free node ({row}, {col}) has every wire open "
+                        f"and no pad; {floating.size} such floating node(s) "
+                        "make the plane system singular"
+                    )
                 if factorize:
                     with tr.span("factorize", tier=l, n_free=self.free.size):
                         solver = DirectSolver(a_ff, spd=True)
@@ -297,7 +313,7 @@ class ReducedPlaneSystem:
                     self.n_factorizations += 1
                     obs.add("planes.factorizations")
                 else:
-                    cache[group] = (a_ff, a_fp, None, 1.0 / a_ff.diagonal())
+                    cache[group] = (a_ff, a_fp, None, 1.0 / diagonal)
             a_ff, a_fp, a_p, inv_diag = cache[group]
             self.a_ff.append(a_ff)
             self.a_fp.append(a_fp)
@@ -332,23 +348,20 @@ class ReducedPlaneSystem:
         ``scale`` is the conductance multiplier of the scaled-factor fast
         path (see :meth:`solve_free`): a scalar, or an ``(S,)`` vector
         applying per column.
+
+        The result is row-major, the layout the condensed solve reads
+        (see :class:`~repro.linalg.direct.DirectSolver`): the coupling
+        product's own C-ordered buffer, scaled and subtracted in place.
         """
         base = self.b_free[tier_index] if b_free is None else b_free
         if b_free is not None and pillar_v.ndim == 2 and not pillar_v.any():
             # Pure back-substitution (low-rank Z and correction solves
             # pass zero pillar voltages): skip the coupling product.
-            return np.asfortranarray(base)
+            return np.ascontiguousarray(base)
         coupling = self.a_fp[tier_index] @ pillar_v
         if scale is not None:
-            coupling = coupling * scale
-        if coupling.ndim == 2:
-            # Subtract straight into a Fortran-ordered buffer: SuperLU
-            # consumes multi-column RHS column-contiguous, so building it
-            # in that layout here saves a full copy in solve_free.
-            out = np.empty(coupling.shape, order="F")
-            np.subtract(_match_columns(base, coupling), coupling, out=out)
-            return out
-        return base - coupling
+            np.multiply(coupling, scale, out=coupling)
+        return np.subtract(_match_columns(base, coupling), coupling, out=coupling)
 
     def solve_free(
         self,
@@ -380,11 +393,9 @@ class ReducedPlaneSystem:
                 "iterative solver otherwise)"
             )
         rhs = self.reduced_rhs(tier_index, pillar_v, b_free, scale=scale)
-        if rhs.ndim == 2 and not rhs.flags.f_contiguous:
-            rhs = np.asfortranarray(rhs)
         x = self.a_ff[tier_index].solve(rhs, trans=trans)
         if scale is not None:
-            x = x / scale
+            x /= scale
         return x
 
     def solve_free_transpose(

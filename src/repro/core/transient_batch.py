@@ -18,16 +18,21 @@ every scenario, although most knobs never touch the companion matrix:
   ``alpha G + C/h`` is not a scaling of ``G + C/h``.
 
 So this engine groups scenarios by their ``(plane_scale, cap_scale)``
-tuples, builds one DC stack and one companion stack per group, fetches
-their factors through a :class:`~repro.core.planes.PlaneFactorCache`
-(groups that differ only in decap share the DC factors), and advances
-*all* scenarios of a group through one
+tuples, builds one companion stack per group and one DC stack per DC
+geometry (per-tier ``plane_scale``), fetches their factors through a
+:class:`~repro.core.planes.PlaneFactorCache`, and advances *all*
+scenarios of a group through one
 :class:`~repro.core.batch.BatchedVPSolver` per time step: the per-step
 history term folds into the RHS batch via
 :meth:`~repro.core.batch.BatchedVPSolver.set_rhs`, and every step is a
 multi-column CVN back-substitution with per-scenario convergence masks.
 The factorization count is therefore *independent of the scenario count
 and the step count* -- the property the benchmark counter-asserts.
+
+The t = 0 operating point is solved once per distinct problem: scenarios
+that agree on per-tier ``load_scale``, ``r_tsv_scale``, ``r_seg_scale``
+and the stimulus activity at t = 0 share one DC column, across companion
+groups, and each takes its field and pillar seed from it by index.
 
 Exact parity: scenario column ``s`` follows exactly the solve sequence
 a sequential ``TransientVPSolver(scenario.apply(stack), caps *
@@ -46,17 +51,17 @@ and later steps back-substitute only the survivors' columns.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
 
 from repro import obs
-from repro.core.batch import BatchedVPConfig, BatchedVPSolver
+from repro.core.batch import BatchedVPConfig, BatchedVPResult, BatchedVPSolver
+from repro.core.kernel import loadshare_v0, narrow_columns
 from repro.core.planes import PlaneFactorCache
 from repro.core.transient import normalize_capacitance
-from repro.core.kernel import loadshare_v0
-from repro.errors import GridError, ReproError
+from repro.errors import ConvergenceError, GridError, ReproError
 from repro.grid.stack3d import PowerGridStack
 from repro.scenarios.spec import Scenario, ScenarioSet
 
@@ -76,6 +81,10 @@ class BatchedTransientConfig(BatchedVPConfig):
     step-to-step voltage change stays under the threshold for
     :data:`SETTLE_WINDOW` consecutive steps (its waveform tail is frozen
     at the retirement value).
+
+    The engine raises :class:`~repro.errors.ConvergenceError` on any
+    unconverged column whatever ``raise_on_divergence`` says, naming the
+    scenarios on it.
     """
 
     settle_tol: float = 0.0
@@ -102,6 +111,10 @@ class BatchedTransientStats:
     #: Sum over time steps of the scenario columns actually solved;
     #: early settle-retirement makes this < n_steps * n_scenarios.
     column_steps: int = 0
+    #: Columns of the t = 0 DC solves: one per distinct DC problem, so
+    #: scenarios that differ only in ``cap_scale`` or in their stimulus
+    #: after t = 0 share one (0 when the caller passes ``v0``).
+    dc_columns: int = 0
 
 
 @dataclass
@@ -154,13 +167,149 @@ class BatchedTransientResult:
         return self.worst_voltage[:, index]
 
 
-class _ScenarioGroup:
-    """All scenarios sharing one ``(plane_scale, cap_scale)`` signature:
-    one DC stack, one companion stack, one pair of batched solvers."""
+#: Row blocks :func:`_worst_voltage` folds a field into before its
+#: column minimum.
+_WORST_FOLD = 256
+
+
+def _worst_voltage(v: np.ndarray) -> np.ndarray:
+    """``v.min(axis=(0, 1))`` of a C-ordered ``(T, n, S)`` field.  numpy
+    reduces a narrow C-ordered array one node at a time, in inner loops
+    of ``S`` elements (~3 ms for a C1 field at S = 8); folding the nodes
+    into :data:`_WORST_FOLD` blocks first gives it long contiguous runs.
+    A minimum is exact in any order, so the result is the same."""
+    s = v.shape[-1]
+    rows = v.reshape(-1, s)
+    head = rows.shape[0] // _WORST_FOLD * _WORST_FOLD
+    out = rows[head:].min(axis=0, initial=np.inf)
+    if head:
+        folded = np.minimum.reduce(rows[:head].reshape(_WORST_FOLD, -1), axis=0)
+        np.minimum(out, folded.reshape(-1, s).min(axis=0), out=out)
+    return out
+
+
+def _scaled_planes(stack: PowerGridStack, alphas) -> PowerGridStack:
+    """``stack`` with each tier's conductances scaled by its
+    ``plane_scale``: a copy, or ``stack`` itself when nothing scales
+    (the engine never writes into it).  The transient engine always
+    bakes alpha into the matrices (the scaled-factor fast path is
+    unusable for the companion system); mirroring the op order of
+    ``Scenario.apply`` keeps parity bitwise."""
+    if all(alpha == 1.0 for alpha in alphas):
+        return stack
+    scaled = stack.copy()
+    for tier, alpha in zip(scaled.tiers, alphas):
+        if alpha != 1.0:
+            tier.g_h = tier.g_h * alpha
+            tier.g_v = tier.g_v * alpha
+            tier.g_pad = tier.g_pad * alpha
+    return scaled
+
+
+def _dc_key(scenario: Scenario, n_tiers: int) -> bytes:
+    """Everything a scenario's t = 0 problem reads besides its DC
+    geometry, bit for bit: per-tier ``load_scale``, ``r_tsv_scale``,
+    ``r_seg_scale`` and the stimulus activity at t = 0.  Loads and
+    activity stay two entries, not their product, so the DC loads are
+    formed exactly as a scenario's own."""
+    parts = [
+        scenario.tier_scales(n_tiers),
+        np.float64([scenario.r_tsv_scale, scenario.activity_at(0.0)]),
+    ]
+    if scenario.r_seg_scale is not None:
+        parts += [np.int64(scenario.r_seg_scale.shape), scenario.r_seg_scale]
+    return b"".join(part.tobytes() for part in parts)
+
+
+def _tsv_knobs(scenarios) -> ScenarioSet:
+    """The scenarios with only the knobs that survive the baking: TSV
+    scales feed the propagation phase, while plane and cap scales live
+    in the matrices and loads enter through ``set_rhs``."""
+    return ScenarioSet(
+        Scenario(name=s.name, r_tsv_scale=s.r_tsv_scale, r_seg_scale=s.r_seg_scale)
+        for s in scenarios
+    )
+
+
+class _DCPoint:
+    """The t = 0 problems on one DC geometry (per-tier ``plane_scale``):
+    one scaled stack, its factors, and one batched solver whose columns
+    are the *distinct* problems.  ``cap_scale`` and the stimulus after
+    t = 0 never enter the DC problem, so scenarios that differ only
+    there -- across companion groups too -- share one column and get
+    bitwise the field a column of their own would get (every step of
+    the kernel works column by column)."""
 
     def __init__(
         self,
         stack: PowerGridStack,
+        alphas: tuple[float, ...],
+        scenarios: list[Scenario],
+        cache: PlaneFactorCache,
+        config: BatchedTransientConfig,
+    ):
+        self.stack = _scaled_planes(stack, alphas)
+        keys: dict[bytes, int] = {}
+        #: One scenario per column, the names of all sharing each column,
+        #: and each scenario's column.
+        self.members: list[Scenario] = []
+        self.names: list[list[str]] = []
+        self.column_of: dict[str, int] = {}
+        for scenario in scenarios:
+            col = keys.setdefault(_dc_key(scenario, stack.n_tiers), len(keys))
+            if col == len(self.members):
+                self.members.append(scenario)
+                self.names.append([])
+            self.names[col].append(scenario.name)
+            self.column_of[scenario.name] = col
+        self.solver = BatchedVPSolver(
+            self.stack,
+            _tsv_knobs(self.members),
+            config,
+            planes=cache.get(self.stack),
+        )
+
+    def solve(self, v0_init: str) -> BatchedVPResult:
+        """Every distinct DC operating point, in one multi-column solve."""
+        stack = self.stack
+        n_tiers = stack.n_tiers
+        # Op order (base * load_scale) * activity, as the sequential path
+        # (Scenario.apply, then the stimulus) forms the t = 0 loads.
+        load_scales = np.column_stack([s.tier_scales(n_tiers) for s in self.members])
+        activity = np.array([s.activity_at(0.0) for s in self.members])
+        loads0 = [
+            tier.loads.ravel()[:, None] * load_scales[l][None, :] * activity[None, :]
+            for l, tier in enumerate(stack.tiers)
+        ]
+        self.solver.set_rhs(
+            [
+                (tier.g_pad.ravel() * tier.v_pad)[:, None] - loads
+                for tier, loads in zip(stack.tiers, loads0)
+            ]
+        )
+        seed = None
+        if v0_init == "loadshare" and stack.pillars.count:
+            # The stripped scenarios carry load_scale 1, so the solver's
+            # own loadshare seed would miss the corner scales; feed it the
+            # actual t=0 column totals (column-contiguous sums match the
+            # sequential solver's per-tier sums bitwise).
+            totals = np.stack(
+                [np.asfortranarray(loads).sum(axis=0) for loads in loads0]
+            )
+            seed = loadshare_v0(
+                stack.v_pin, self.solver.r_seg, totals, stack.pillars.count
+            )
+        return self.solver.solve(v0=seed)
+
+
+class _ScenarioGroup:
+    """All scenarios sharing one ``(plane_scale, cap_scale)`` signature:
+    one companion stack and its batched solver, plus each scenario's
+    column of the shared DC point."""
+
+    def __init__(
+        self,
+        dc: _DCPoint,
         originals: list[Scenario],
         columns: list[int],
         base_caps: list[np.ndarray],
@@ -170,47 +319,22 @@ class _ScenarioGroup:
     ):
         self.originals = originals
         self.columns = np.array(columns, dtype=int)
-        n_tiers = stack.n_tiers
-        alphas = originals[0].tier_plane_scales(n_tiers)
+        self.dc = dc
+        self.dc_columns = np.array([dc.column_of[s.name] for s in originals])
+        n_tiers = dc.stack.n_tiers
         cap_scales = originals[0].tier_cap_scales(n_tiers)
-
-        # DC stack: plane_scale baked into the matrices (the scaled-
-        # factor fast path is unusable for the companion system, so the
-        # transient engine always bakes alpha in -- mirroring the op
-        # order of Scenario.apply keeps parity bitwise).
-        dc_stack = stack.copy()
-        for tier, alpha in zip(dc_stack.tiers, alphas):
-            if alpha != 1.0:
-                tier.g_h = tier.g_h * alpha
-                tier.g_v = tier.g_v * alpha
-                tier.g_pad = tier.g_pad * alpha
 
         # Companion stack: extra diagonal conductance C/h as a pad to a
         # 0 V rail; the history term enters through per-step loads (same
         # construction as TransientVPSolver).
         caps = [c * k for c, k in zip(base_caps, cap_scales)]
         self.g_cap = [(c / dt).ravel() for c in caps]
-        comp_stack = dc_stack.copy()
+        comp_stack = dc.stack.copy()
         for tier, c in zip(comp_stack.tiers, caps):
             tier.g_pad = tier.g_pad + c / dt
 
-        # Scenario knobs that survive the baking: load scales feed the
-        # per-step RHS directly, TSV knobs feed the propagation phase.
-        stripped = ScenarioSet(
-            [
-                Scenario(
-                    name=s.name,
-                    r_tsv_scale=s.r_tsv_scale,
-                    r_seg_scale=s.r_seg_scale,
-                )
-                for s in originals
-            ]
-        )
-        dc_planes = cache.get(dc_stack)
+        stripped = _tsv_knobs(originals)
         comp_planes = cache.get(comp_stack)
-        self.dc_solver = BatchedVPSolver(
-            dc_stack, stripped, config, planes=dc_planes
-        )
         self.comp_solver = BatchedVPSolver(
             comp_stack, stripped, config, planes=comp_planes
         )
@@ -228,10 +352,7 @@ class _ScenarioGroup:
         )
         self.base_scaled = [
             tier.loads.ravel()[:, None] * load_scales[l][None, :]
-            for l, tier in enumerate(dc_stack.tiers)
-        ]
-        self.pad_dc = [
-            tier.g_pad.ravel() * tier.v_pad for tier in dc_stack.tiers
+            for l, tier in enumerate(comp_stack.tiers)
         ]
         self.pad_comp = [
             tier.g_pad.ravel() * tier.v_pad for tier in comp_stack.tiers
@@ -247,7 +368,7 @@ class _ScenarioGroup:
         # batches are recomputed only when the activity actually moves.
         self._loads_activity: np.ndarray | None = None
         self._loads_cached: list[np.ndarray] | None = None
-        self._rhs_buffers: list[tuple[np.ndarray, np.ndarray]] | None = None
+        self._rhs_buffers: list[np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     @property
@@ -269,7 +390,8 @@ class _ScenarioGroup:
             a, self._loads_activity
         ):
             self._loads_cached = [
-                base[:, self.active] * a[None, :] for base in self.base_scaled
+                narrow_columns(base, self.active) * a[None, :]
+                for base in self.base_scaled
             ]
             self._loads_activity = a
         return self._loads_cached
@@ -295,27 +417,21 @@ class _ScenarioGroup:
             )
 
     def step_rhs(self, loads_t: list[np.ndarray]) -> list[np.ndarray]:
-        """Per-tier companion RHS ``pad - (loads - (C/h) v_prev)`` into
-        reused buffers -- the exact FP op grouping of the sequential
-        path's ``update_loads(loads - g_cap * v)``, without allocating
-        six ``(n, S_active)`` temporaries per step (the downstream
-        ``set_rhs`` copies into its own partitions)."""
+        """Per-tier companion RHS ``pad - (loads - (C/h) v_prev)``, one
+        reused buffer per tier -- the exact FP op grouping of the
+        sequential path's ``update_loads(loads - g_cap * v)``, without
+        allocating ``(n, S_active)`` temporaries per step (the
+        downstream ``set_rhs`` gathers into its own partitions)."""
         if (
             self._rhs_buffers is None
-            or self._rhs_buffers[0][0].shape != loads_t[0].shape
+            or self._rhs_buffers[0].shape != loads_t[0].shape
         ):
-            self._rhs_buffers = [
-                (np.empty_like(loads), np.empty_like(loads))
-                for loads in loads_t
-            ]
-        out = []
-        for l, loads in enumerate(loads_t):
-            history, rhs = self._rhs_buffers[l]
-            np.multiply(self.g_cap[l][:, None], self.v[l], out=history)
-            np.subtract(loads, history, out=history)
-            np.subtract(self.pad_comp[l][:, None], history, out=rhs)
-            out.append(rhs)
-        return out
+            self._rhs_buffers = [np.empty_like(loads) for loads in loads_t]
+        for l, (loads, rhs) in enumerate(zip(loads_t, self._rhs_buffers)):
+            np.multiply(self.g_cap[l][:, None], self.v[l], out=rhs)
+            np.subtract(loads, rhs, out=rhs)
+            np.subtract(self.pad_comp[l][:, None], rhs, out=rhs)
+        return self._rhs_buffers
 
     def settles_by(self, t: float) -> np.ndarray:
         """``(S_active,)`` mask of scenarios whose stimulus is constant
@@ -379,14 +495,15 @@ class BatchedTransientSolver:
 
         n_tiers = stack.n_tiers
         grouped: dict[tuple, tuple[list[Scenario], list[int]]] = {}
+        by_geometry: dict[tuple, list[Scenario]] = {}
         for col, s in enumerate(self.scenarios):
-            key = (
-                tuple(s.tier_plane_scales(n_tiers)),
-                tuple(s.tier_cap_scales(n_tiers)),
+            alphas = tuple(s.tier_plane_scales(n_tiers))
+            members, columns = grouped.setdefault(
+                (alphas, tuple(s.tier_cap_scales(n_tiers))), ([], [])
             )
-            members, columns = grouped.setdefault(key, ([], []))
             members.append(s)
             columns.append(col)
+            by_geometry.setdefault(alphas, []).append(s)
 
         # NOT `factor_cache or ...`: an empty cache is falsy (__len__).
         self.cache = (
@@ -395,12 +512,22 @@ class BatchedTransientSolver:
             else PlaneFactorCache(max_entries=max(8, 2 * len(grouped)))
         )
         count0 = self.cache.factorizations
+        # The engine raises on any unconverged column itself, naming the
+        # scenarios; the kernel's own raise would name batch positions.
+        solver_config = replace(self.config, raise_on_divergence=False)
+        dc_points = {
+            alphas: _DCPoint(stack, alphas, members, self.cache, solver_config)
+            for alphas, members in by_geometry.items()
+        }
+        #: One DC point per DC geometry (per-tier ``plane_scale``), each
+        #: solving only its distinct t = 0 problems.
+        self.dc_points = list(dc_points.values())
         self.groups = [
             _ScenarioGroup(
-                stack, members, columns, self.base_caps, self.dt,
-                self.cache, self.config,
+                dc_points[alphas], members, columns, self.base_caps, self.dt,
+                self.cache, solver_config,
             )
-            for members, columns in grouped.values()
+            for (alphas, _), (members, columns) in grouped.items()
         ]
         #: LU factorizations this engine's construction performed --
         #: scales with the number of distinct (plane_scale, cap_scale)
@@ -425,13 +552,20 @@ class BatchedTransientSolver:
             out.append((int(l), int(i), int(j)))
         return out
 
-    def _raise_diverged(self, result, names: list[str], solve: str) -> None:
-        if result.converged.all():
+    @staticmethod
+    def _raise_diverged(result, names: list[list[str]], solve: str) -> None:
+        """Raise :class:`~repro.errors.ConvergenceError` when a column of
+        ``result`` did not converge, naming every scenario on it
+        (``names[k]`` lists the scenarios on column ``k``)."""
+        bad = ~result.converged
+        if not bad.any():
             return
-        bad = [n for n, ok in zip(names, result.converged) if not ok]
-        raise ReproError(
+        failed = [name for k in np.flatnonzero(bad) for name in names[k]]
+        raise ConvergenceError(
             f"transient VP {solve} did not converge for "
-            f"{len(bad)} scenario(s): {bad[:5]}"
+            f"{len(failed)} scenario(s): {failed}",
+            int(result.outer_iterations[bad].max()),
+            float(result.max_vdiff[bad].max()),
         )
 
     def run(
@@ -461,10 +595,10 @@ class BatchedTransientSolver:
 
         Raises
         ------
-        ReproError
+        ConvergenceError
             When any scenario's VP solve fails to converge, at its DC
             operating point or at some step (mirrors the sequential
-            solver).
+            solver); the message names every scenario concerned.
         GridError
             On a bad probe or ``v0`` shape.
         """
@@ -489,9 +623,11 @@ class BatchedTransientSolver:
             settled_step = np.full(n_scen, -1, dtype=int)
             final_fields = np.empty((n_tiers, n, n_scen))
             column_steps = 0
+            dc_columns = 0
 
             # ------------------------------------------------------------------
-            # t = 0: per-group DC operating point (or the caller's v0).
+            # t = 0: each scenario's column of its shared DC point (or the
+            # caller's v0).
             if v0 is not None:
                 v0 = np.asarray(v0, dtype=float)
                 if v0.shape == (n_tiers, rows, cols):
@@ -501,49 +637,30 @@ class BatchedTransientSolver:
                         f"v0 shape {v0.shape} != {(n_tiers, rows, cols)} or "
                         f"{(n_tiers, rows, cols, n_scen)}"
                     )
+            else:
+                dc_fields = {}
+                for dc in self.dc_points:
+                    dc_res = dc.solve(config.v0_init)
+                    self._raise_diverged(dc_res, dc.names, "DC operating point")
+                    v_dc = dc_res.voltages.reshape(n_tiers, n, -1)
+                    dc_fields[dc] = (v_dc, dc_res.pillar_v0, _worst_voltage(v_dc))
+                    dc_columns += dc_res.n_scenarios
             for group in self.groups:
                 cols_g = group.active_columns
                 if v0 is None:
-                    loads0 = group.loads_at(0.0)
-                    group.dc_solver.set_rhs(
-                        [
-                            group.pad_dc[l][:, None] - loads0[l]
-                            for l in range(n_tiers)
-                        ]
-                    )
-                    seed = None
-                    if config.v0_init == "loadshare" and stack.pillars.count:
-                        # The stripped scenarios carry load_scale 1, so the
-                        # solver's own loadshare seed would miss the corner
-                        # scales; feed it the actual t=0 column totals
-                        # (column-contiguous sums match the sequential
-                        # solver's per-tier sums bitwise).
-                        totals = np.stack(
-                            [
-                                np.asfortranarray(loads0[l]).sum(axis=0)
-                                for l in range(n_tiers)
-                            ]
-                        )
-                        seed = loadshare_v0(
-                            stack.v_pin,
-                            group.dc_solver.r_seg,
-                            totals,
-                            stack.pillars.count,
-                        )
-                    dc_res = group.dc_solver.solve(v0=seed)
-                    self._raise_diverged(
-                        dc_res,
-                        [self.scenarios[c].name for c in cols_g],
-                        "DC operating point",
-                    )
-                    group.v = dc_res.voltages.reshape(n_tiers, n, cols_g.size)
-                    group.pillar_seed = dc_res.pillar_v0
+                    # Each scenario takes its DC column's field, pillar
+                    # seed and worst voltage.
+                    v_dc, pillar_dc, worst_dc = dc_fields[group.dc]
+                    dc_cols = group.dc_columns[group.active]
+                    group.v = v_dc[:, :, dc_cols]
+                    group.pillar_seed = pillar_dc[:, dc_cols]
+                    worst[0, cols_g] = worst_dc[dc_cols]
                 else:
                     group.v = np.ascontiguousarray(
                         v0.reshape(n_tiers, n, n_scen)[:, :, cols_g]
                     )
                     group.pillar_seed = None
-                worst[0, cols_g] = group.v.min(axis=(0, 1))
+                    worst[0, cols_g] = _worst_voltage(group.v)
                 for p, (l, flat) in enumerate(probe_flat):
                     probe_wave[0, p, cols_g] = group.v[l, flat]
 
@@ -568,14 +685,14 @@ class BatchedTransientSolver:
                         res = group.comp_solver.solve(v0=group.pillar_seed)
                     self._raise_diverged(
                         res,
-                        [self.scenarios[c].name for c in cols_g],
+                        [[self.scenarios[c].name] for c in cols_g],
                         f"step at t={t:.3e}s",
                     )
                     v_prev = group.v
                     group.v = res.voltages.reshape(n_tiers, n, cols_g.size)
                     group.pillar_seed = res.pillar_v0
                     outer_iters[k - 1, cols_g] = res.outer_iterations
-                    worst[k, cols_g] = group.v.min(axis=(0, 1))
+                    worst[k, cols_g] = _worst_voltage(group.v)
                     for p, (l, flat) in enumerate(probe_flat):
                         probe_wave[k, p, cols_g] = group.v[l, flat]
 
@@ -608,6 +725,7 @@ class BatchedTransientSolver:
             n_groups=self.n_groups,
             factorizations=self.n_factorizations,
             column_steps=column_steps,
+            dc_columns=dc_columns,
         )
         reg.add("transient.steps", n_steps)
         return BatchedTransientResult(

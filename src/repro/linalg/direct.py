@@ -204,11 +204,14 @@ class DirectSolver:
 
     def _solve_condensed(self, b: np.ndarray, trans: str) -> np.ndarray:
         """The two block steps of the class docstring, written straight
-        into the result (Fortran-ordered, as SuperLU returns it)."""
+        into a row-major result.  Row blocks of C-ordered arrays are
+        contiguous, so both coupling products read ``b[:k]`` and ``x_o``
+        without a copy; only the Schur block goes to SuperLU, which
+        takes it in Fortran order.  ``b`` is only read."""
         k = self.n_eliminated
         to_rest, to_lead = self._coupling[trans]
         d_inv = self._d_inv if b.ndim == 1 else self._d_inv[:, None]
-        x = np.empty(b.shape, order="F")
+        x = np.empty(b.shape)
         x_e, x_o = x[:k], x[k:]
         np.multiply(b[:k], d_inv, out=x_e)
         if self._lu is not None:

@@ -277,34 +277,42 @@ class TSVConductanceParam(Parameter):
         )
         self.name = name
 
-    def _segment_list(self, stack: PowerGridStack) -> list[tuple[int, int]]:
+    def _segment_index(self, stack: PowerGridStack) -> tuple[np.ndarray, np.ndarray]:
+        """``(layers, pillars)`` index arrays of the block's segments, in
+        block order (every segment, layer-major, when none were given)."""
         n_tiers, n_pillars = stack.pillars.r_seg.shape
         if self.segments is None:
-            return [
-                (l, p) for l in range(n_tiers) for p in range(n_pillars)
-            ]
-        for l, p in self.segments:
-            if not (0 <= l < n_tiers and 0 <= p < n_pillars):
-                raise GridError(
-                    f"{self.name}: segment ({l}, {p}) outside "
-                    f"({n_tiers}, {n_pillars}) table"
-                )
-        return self.segments
+            return (
+                np.repeat(np.arange(n_tiers), n_pillars),
+                np.tile(np.arange(n_pillars), n_tiers),
+            )
+        layers, pillars = np.array(self.segments, dtype=np.intp).reshape(-1, 2).T
+        outside = (
+            (layers < 0) | (layers >= n_tiers) | (pillars < 0) | (pillars >= n_pillars)
+        )
+        if outside.any():
+            k = int(np.argmax(outside))
+            raise GridError(
+                f"{self.name}: segment ({layers[k]}, {pillars[k]}) outside "
+                f"({n_tiers}, {n_pillars}) table"
+            )
+        return layers, pillars
 
     def size_for(self, stack: PowerGridStack) -> int:
-        return len(self._segment_list(stack))
+        return self._segment_index(stack)[0].size
 
     def labels(self, stack: PowerGridStack) -> list[str]:
         return [
-            f"{self.name}[l{l},p{p}]" for l, p in self._segment_list(stack)
+            f"{self.name}[l{l},p{p}]" for l, p in zip(*self._segment_index(stack))
         ]
 
     def apply(self, stack, values, *, planes=True):
-        segments = self._segment_list(stack)
-        values = self._check_values(values, len(segments))
+        layers, pillars = self._segment_index(stack)
+        values = self._check_values(values, layers.size)
         r_seg = stack.pillars.r_seg.copy()
-        for (l, p), s in zip(segments, values):
-            r_seg[l, p] /= s
+        # Unbuffered: a segment listed twice is divided by each value in
+        # turn, as a loop over the list would.
+        np.divide.at(r_seg, (layers, pillars), values)
         stack.pillars = PillarSet(
             positions=stack.pillars.positions,
             r_seg=r_seg,
@@ -313,31 +321,24 @@ class TSVConductanceParam(Parameter):
         )
 
     def gradient(self, stack, values, v, lam, *, v_pin, plane_scale):
-        segments = self._segment_list(stack)
-        values = self._check_values(values, len(segments))
-        pillar_flat = stack.pillar_flat_indices()
-        r_cur = stack.pillars.r_seg
-        has_pin = stack.pillars.has_pin
+        layers, pillars = self._segment_index(stack)
+        values = self._check_values(values, layers.size)
+        node = stack.pillar_flat_indices()[pillars]
+        g_cur = 1.0 / stack.pillars.r_seg[layers, pillars]
         top = stack.n_tiers - 1
-        out = np.empty(len(segments))
-        for k, ((l, p), s) in enumerate(zip(segments, values)):
-            node = pillar_flat[p]
-            g_cur = 1.0 / r_cur[l, p]
-            if l == top:
-                # Topmost segment couples the top-tier node to the pin
-                # rail (diagonal + RHS term); unused without a pin.
-                dm_dg = (
-                    lam[top, node] * (v_pin - v[top, node])
-                    if has_pin[p]
-                    else 0.0
-                )
-            else:
-                dm_dg = -(
-                    (lam[l, node] - lam[l + 1, node])
-                    * (v[l, node] - v[l + 1, node])
-                )
-            out[k] = dm_dg * g_cur / s
-        return out
+        # A segment below the top couples its tier's pillar node to the
+        # next tier's; the topmost one couples the top-tier node to the
+        # pin rail (diagonal + RHS term) and is unused without a pin.
+        upper = np.minimum(layers + 1, top)
+        dm_dg = -(
+            (lam[layers, node] - lam[upper, node])
+            * (v[layers, node] - v[upper, node])
+        )
+        at_top = layers == top
+        pinned = at_top & stack.pillars.has_pin[pillars]
+        dm_dg[at_top] = 0.0
+        dm_dg[pinned] = lam[top, node[pinned]] * (v_pin - v[top, node[pinned]])
+        return dm_dg * g_cur / values
 
 
 class PadResistanceParam(Parameter):

@@ -11,11 +11,17 @@ path.
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
+import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from repro.core.planes import ReducedPlaneSystem, condensable_nodes, plane_blocks
+from repro.core.tsv import plane_matrices
+from repro.core.vp import solve_vp
+from repro.errors import SingularSystemError
 from repro.grid.generators import synthesize_stack
 
 
@@ -63,18 +69,16 @@ class TestPlaneBlocks:
     @settings(max_examples=60, deadline=None)
     @given(stack=open_wire_stacks())
     def test_equal_to_the_slices(self, stack):
-        # A node cut off on every side has a zero Jacobi diagonal.
-        with np.errstate(divide="ignore"):
-            system = ReducedPlaneSystem(stack, factorize=False)
-        free_mask = np.ones(system.n, dtype=bool)
-        free_mask[system.pillar_flat] = False
+        free_mask = ~stack.pillar_mask().ravel()
         lead = condensable_nodes(stack.rows, stack.cols, free_mask)
+        natural = np.flatnonzero(free_mask)
         condensed = np.concatenate(
             (np.flatnonzero(lead), np.flatnonzero(free_mask & ~lead))
         )
-        pillars = system.pillar_flat
-        for free in (system.free, condensed):
-            for matrix, _ in system.planes:
+        pillars = stack.pillar_flat_indices()
+        matrices = [matrix for matrix, _ in plane_matrices(stack)]
+        for free in (natural, condensed):
+            for matrix in matrices:
                 expected = (
                     matrix[free][:, free],
                     matrix[free][:, pillars],
@@ -82,8 +86,16 @@ class TestPlaneBlocks:
                 )
                 blocks = plane_blocks(matrix, stack.rows, stack.cols, free, pillars)
                 assert all(map(same_csr, blocks, expected))
-        for l, (matrix, _) in enumerate(system.planes):
-            assert same_csr(system.a_ff[l], matrix[system.free][:, system.free])
+        # A free node cut off on every side (no pad) makes its plane
+        # singular: the system refuses it instead of dividing by zero.
+        if any((matrix.diagonal()[natural] == 0).any() for matrix in matrices):
+            with pytest.raises(SingularSystemError, match="every wire open"):
+                ReducedPlaneSystem(stack, factorize=False)
+            return
+        system = ReducedPlaneSystem(stack, factorize=False)
+        assert np.array_equal(system.free, natural)
+        for l, matrix in enumerate(matrices):
+            assert same_csr(system.a_ff[l], matrix[natural][:, natural])
 
     def test_factored_system_holds_the_slices(self, small_stack):
         system = ReducedPlaneSystem(small_stack, factorize=True)
@@ -136,10 +148,15 @@ class TestReducedRhsZeroPillarFastPath:
         # The coupling term vanishes exactly; the fast path must return
         # the RHS bit-for-bit (the ECO engine's parity depends on it).
         assert np.array_equal(fast, b_free)
-        assert fast.flags.f_contiguous
         eps = np.full_like(zeros, 1e-9)
         general = planes.reduced_rhs(0, eps, b_free=b_free)
         assert np.allclose(general, b_free - a_fp @ eps, atol=1e-15)
+        # Both paths hand the solve a row-major RHS: the condensed solve's
+        # coupling products read its row blocks without a copy.
+        assert fast.flags.c_contiguous and general.flags.c_contiguous
+        f_ordered = planes.reduced_rhs(0, zeros, b_free=np.asfortranarray(b_free))
+        assert f_ordered.flags.c_contiguous
+        assert np.array_equal(f_ordered, b_free)
 
     def test_solve_free_agrees_between_paths(self, small_stack, rng):
         planes = ReducedPlaneSystem(small_stack, factorize=True)
@@ -150,6 +167,34 @@ class TestReducedRhsZeroPillarFastPath:
         assert np.allclose(
             via_fast, np.linalg.solve(a_ff, b_free), rtol=1e-10
         )
+
+
+class TestFloatingFreeNode:
+    """A free node with every wire open and no pad leaves its plane
+    singular.  Both the factored and the ``cg`` path refuse it when the
+    system is built, naming the tier and the node, instead of the ``cg``
+    path's Jacobi preconditioner dividing by zero."""
+
+    @pytest.fixture
+    def floating_stack(self):
+        stack = synthesize_stack(8, 8, 2, rng=1)
+        tier = stack.tiers[0]
+        assert not stack.pillar_mask()[1, 1] and not tier.g_pad.any()
+        tier.g_h[1, 0] = tier.g_h[1, 1] = 0.0
+        tier.g_v[0, 1] = tier.g_v[1, 1] = 0.0
+        return stack
+
+    @pytest.mark.parametrize("factorize", [True, False])
+    def test_construction_names_tier_and_node(self, floating_stack, factorize):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularSystemError, match=r"tier 0: free node \(1, 1\)"):
+                ReducedPlaneSystem(floating_stack, factorize=factorize)
+
+    @pytest.mark.parametrize("inner", ["direct", "cg"])
+    def test_solve_vp_fails_at_once(self, floating_stack, inner):
+        with pytest.raises(SingularSystemError, match=r"free node \(1, 1\)"):
+            solve_vp(floating_stack, inner=inner)
 
 
 def held_arrays(system) -> dict[int, np.ndarray]:

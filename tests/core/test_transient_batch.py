@@ -24,7 +24,7 @@ from repro.core.transient_batch import (
     solve_transient_batch,
 )
 from repro.core.vp import VPConfig
-from repro.errors import GridError, ReproError
+from repro.errors import ConvergenceError, GridError, ReproError
 from repro.scenarios import (
     Scenario,
     ScenarioSet,
@@ -270,6 +270,106 @@ class TestFactorSharing:
         assert cache.pinned_overflow == 0
 
 
+def dc_sharing_scenarios() -> ScenarioSet:
+    """A sweep whose t = 0 problems repeat across companion groups: two
+    ``before`` levels, two load scales (one spelled per tier), two TSV
+    scales, a per-segment spread, two ``plane_scale`` and two
+    ``cap_scale`` groups, and stimuli that differ only after t = 0."""
+
+    def step(before, after):
+        return StimulusSpec(kind="step", t_event=1e-9, before=before, after=after)
+
+    return ScenarioSet(
+        [
+            Scenario("lo-0.6", stimulus=step(0.2, 0.6)),  # column A
+            Scenario("lo-1.4", stimulus=step(0.2, 1.4)),  # A
+            Scenario(
+                "lo-ramp",
+                stimulus=StimulusSpec(
+                    kind="ramp", t_event=0.4e-9, before=0.2, after=1.1, rise=1e-9
+                ),
+            ),  # A
+            Scenario("lo-decap", cap_scale=4.0, stimulus=step(0.2, 1.3)),  # A
+            Scenario("hi-1.0", stimulus=step(0.5, 1.0)),  # B
+            Scenario("hi-decap", cap_scale=(4.0, 1.0, 1.0), stimulus=step(0.5, 1.6)),  # B
+            Scenario("load", load_scale=1.2, stimulus=step(0.2, 1.0)),  # C
+            Scenario(
+                "load-tiers", load_scale=(1.2, 1.2, 1.2), stimulus=step(0.2, 1.5)
+            ),  # C
+            Scenario("load-decap", load_scale=1.2, cap_scale=4.0, stimulus=step(0.2, 0.4)),  # C
+            Scenario("rtsv", r_tsv_scale=2.0, stimulus=step(0.2, 1.0)),  # D
+            Scenario("rtsv-hi", r_tsv_scale=2.0, stimulus=step(0.5, 1.0)),  # E
+            Scenario(
+                "spread",
+                r_seg_scale=np.linspace(0.9, 1.1, 3 * 16).reshape(3, 16),
+                stimulus=step(0.2, 1.0),
+            ),  # F
+            Scenario("plain"),  # G: activity 1 at t = 0
+            Scenario(
+                "pulse",
+                stimulus=StimulusSpec(
+                    kind="pulse", period=1.6e-9, before=0.2, after=1.0, duty=0.5
+                ),
+            ),  # G: a pulse starts high
+            Scenario("alpha", plane_scale=1.2, stimulus=step(0.2, 1.0)),  # H
+            Scenario(
+                "alpha-decap", plane_scale=1.2, cap_scale=4.0, stimulus=step(0.2, 0.8)
+            ),  # H
+        ]
+    )
+
+
+#: Distinct t = 0 problems of :func:`dc_sharing_scenarios` (A-H above).
+DC_SHARING_COLUMNS = 8
+
+
+class TestSharedDCPoint:
+    """Scenarios that agree on per-tier plane and load scales, TSV scales
+    and the stimulus activity at t = 0 share one DC column, across
+    companion groups; every scenario still gets its own bits."""
+
+    def test_each_scenario_gets_its_solo_bits(self, small_stack):
+        assert small_stack.pillars.count == 16
+        scenarios = dc_sharing_scenarios()
+        result = BatchedTransientSolver(small_stack, scenarios, CAPS, DT).run(
+            T_END, probes=PROBES
+        )
+        assert result.stats.n_groups == 5
+        assert result.stats.dc_columns == DC_SHARING_COLUMNS
+        for s, scenario in enumerate(scenarios):
+            solo = BatchedTransientSolver(small_stack, [scenario], CAPS, DT).run(
+                T_END, probes=PROBES
+            )
+            assert solo.stats.dc_columns == 1
+            for name in (
+                "worst_voltage", "probe_voltages", "voltages", "outer_iterations",
+            ):
+                np.testing.assert_array_equal(
+                    getattr(result, name)[..., s],
+                    getattr(solo, name)[..., 0],
+                    err_msg=f"{scenario.name}: {name}",
+                )
+
+    def test_load_step_corners_solve_one_dc_column(self, small_stack):
+        result = solve_transient_batch(
+            small_stack,
+            load_step_sweep((0.4, 0.8, 1.2, 1.6), t_step=1e-9),
+            CAPS,
+            DT,
+            T_END,
+            v0_init="loadshare",
+        )
+        assert result.stats.dc_columns == 1
+        assert (result.worst_voltage[0] == result.worst_voltage[0, 0]).all()
+
+    def test_caller_v0_solves_no_dc_column(self, small_stack):
+        solver = BatchedTransientSolver(
+            small_stack, load_step_sweep((0.5, 1.5), t_step=1e-9), CAPS, DT
+        )
+        flat = np.full((3, small_stack.rows, small_stack.cols), small_stack.v_pin)
+        assert solver.run(T_END, v0=flat).stats.dc_columns == 0
+
+
 class TestSettleRetirement:
     def test_retired_waveforms_forward_fill(self, small_stack):
         scenarios = mixed_scenarios()
@@ -436,6 +536,28 @@ class TestDCSeedConvergence:
         message = r"DC operating point did not converge for 1 scenario\(s\)"
         with pytest.raises(ReproError, match=message + r": \['step-to-1'\]"):
             self._batched(10)
+
+    @pytest.mark.parametrize("raise_on_divergence", [False, True])
+    def test_error_names_every_scenario_on_the_column(self, raise_on_divergence):
+        """Three corners share one DC column (same ``before``); its
+        failure names all of them, never a position in the DC batch."""
+        stack, _, caps, dt = self._inputs()
+        config = BatchedTransientConfig(
+            max_outer=10, raise_on_divergence=raise_on_divergence
+        )
+        solver = BatchedTransientSolver(
+            stack,
+            load_step_sweep((0.5, 1.0, 1.5), t_step=1e-10, before=1.0),
+            caps,
+            dt,
+            config,
+        )
+        names = r"\['step-to-0.5', 'step-to-1', 'step-to-1.5'\]"
+        with pytest.raises(
+            ConvergenceError,
+            match=r"DC operating point did not converge for 3 scenario\(s\): " + names,
+        ):
+            solver.run(6e-10)
 
     def test_converged_dc_seed_runs_on_both_engines(self):
         batched = self._batched(20)

@@ -139,6 +139,62 @@ def test_factor_nnz_counts_lu_coupling_blocks_and_pivots():
     assert solver.factor_nnz == expected
 
 
+@pytest.mark.parametrize("trans", ["N", "T"])
+def test_c1_wide_solve_matches_its_single_columns(c1_planes, trans):
+    """Each column of an 8-column solve is bitwise its own 1-column solve
+    (the batched engines rely on it)."""
+    solver = c1_planes.a_ff[0]
+    b = np.random.default_rng(1).normal(size=(solver.n, 8))
+    wide = solver.solve(b, trans=trans)
+    for k in range(b.shape[1]):
+        assert np.array_equal(solver.solve(b[:, k].copy(), trans=trans), wide[:, k])
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["pitch2-condensed", "pitch3-whole-lu"])
+def pitch_planes(request):
+    planes = ReducedPlaneSystem(synthesize_stack(18, 18, 2, tsv_pitch=request.param, rng=4))
+    assert (planes.a_ff[0].n_eliminated > 0) == (request.param == 2)
+    return planes
+
+
+class TestLayoutNeverChangesTheBits:
+    """The condensed solve works row-major; C-ordered, Fortran-ordered and
+    1-D right-hand sides, wide or one column at a time, give the same
+    bits, and no solve writes into its input."""
+
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    def test_orders_and_widths(self, pitch_planes, trans):
+        solver = pitch_planes.a_ff[0]
+        b = np.random.default_rng(7).normal(size=(solver.n, 5))
+        kept = b.copy()
+        wide = solver.solve(b, trans=trans)
+        assert np.array_equal(solver.solve(np.asfortranarray(b), trans=trans), wide)
+        for k in range(b.shape[1]):
+            assert np.array_equal(solver.solve(b[:, k].copy(), trans=trans), wide[:, k])
+            narrow = solver.solve(b[:, k : k + 1], trans=trans)
+            assert np.array_equal(narrow[:, 0], wide[:, k])
+        assert np.array_equal(b, kept)
+
+    @pytest.mark.parametrize("zero_pillars", [False, True])
+    def test_scaled_solve_free_per_column_and_inputs_kept(self, pitch_planes, zero_pillars):
+        rng = np.random.default_rng(8)
+        b_free = rng.normal(size=(pitch_planes.n_free, 4))
+        pillar_v = rng.normal(size=(pitch_planes.n_pillars, 4)) * (not zero_pillars)
+        scale = np.array([1.0, 0.8, 1.25, 1.5])
+        kept = (b_free.copy(), pillar_v.copy())
+        for trans in ("N", "T"):
+            wide = pitch_planes.solve_free(
+                1, pillar_v, b_free=b_free, scale=scale, trans=trans
+            )
+            for k in range(4):
+                one = pitch_planes.solve_free(
+                    1, pillar_v[:, k : k + 1], b_free=b_free[:, k : k + 1],
+                    scale=scale[k : k + 1], trans=trans,
+                )
+                assert np.array_equal(one[:, 0], wide[:, k])
+        assert np.array_equal(b_free, kept[0]) and np.array_equal(pillar_v, kept[1])
+
+
 class TestEdgeCases:
     def test_diagonal_matrix_needs_no_lu(self):
         d = np.array([2.0, 4.0, 0.5])

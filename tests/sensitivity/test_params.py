@@ -184,3 +184,77 @@ class TestValidation:
             ParameterSpace(stack, [])
         with pytest.raises(ReproError):
             ParameterSpace(stack, [MetalWidthParam(), MetalWidthParam()])
+
+
+def loop_tsv_gradient(stack, segments, values, v, lam, v_pin):
+    """Per-segment reference loop for ``TSVConductanceParam.gradient``."""
+    pillar_flat = stack.pillar_flat_indices()
+    top = stack.n_tiers - 1
+    out = np.empty(len(segments))
+    for k, ((l, p), s) in enumerate(zip(segments, values)):
+        node = pillar_flat[p]
+        g_cur = 1.0 / stack.pillars.r_seg[l, p]
+        if l == top:
+            dm_dg = (
+                lam[top, node] * (v_pin - v[top, node])
+                if stack.pillars.has_pin[p]
+                else 0.0
+            )
+        else:
+            dm_dg = -(
+                (lam[l, node] - lam[l + 1, node]) * (v[l, node] - v[l + 1, node])
+            )
+        out[k] = dm_dg * g_cur / s
+    return out
+
+
+class TestTSVBlockMatchesSegmentLoop:
+    """The index-array TSV block keeps the per-segment loop's op order, so
+    gradients and applied tables agree with it bit for bit."""
+
+    @pytest.fixture
+    def pin_stack(self):
+        stack = synthesize_stack(10, 10, 3, rng=5, pin_fraction=0.5)
+        assert not stack.pillars.has_pin.all() and stack.pillars.has_pin.any()
+        return stack
+
+    def fields(self, stack, seed):
+        rng = np.random.default_rng(seed)
+        n = stack.rows * stack.cols
+        return rng.normal(size=(stack.n_tiers, n)), rng.normal(size=(stack.n_tiers, n))
+
+    def test_every_segment(self, pin_stack):
+        block = TSVConductanceParam()
+        n_tiers, n_pillars = pin_stack.pillars.r_seg.shape
+        segments = [(l, p) for l in range(n_tiers) for p in range(n_pillars)]
+        values = np.random.default_rng(1).uniform(0.5, 2.0, len(segments))
+        v, lam = self.fields(pin_stack, 2)
+        got = block.gradient(pin_stack, values, v, lam, v_pin=1.8, plane_scale=None)
+        want = loop_tsv_gradient(pin_stack, segments, values, v, lam, 1.8)
+        assert np.array_equal(got, want)
+        assert block.labels(pin_stack)[n_pillars + 2] == "gtsv[l1,p2]"
+
+    def test_custom_segments_with_a_repeat(self, pin_stack):
+        n_pillars = pin_stack.pillars.count
+        unpinned = int(np.flatnonzero(~pin_stack.pillars.has_pin)[0])
+        segments = [(2, 0), (0, 1), (2, unpinned), (1, 3), (2, 0), (0, n_pillars - 1)]
+        block = TSVConductanceParam(segments=segments)
+        values = np.array([1.5, 0.7, 2.0, 1.1, 0.9, 1.3])
+        v, lam = self.fields(pin_stack, 3)
+        got = block.gradient(pin_stack, values, v, lam, v_pin=1.8, plane_scale=None)
+        want = loop_tsv_gradient(pin_stack, segments, values, v, lam, 1.8)
+        assert np.array_equal(got, want)
+        assert got[2] == 0.0  # an unpinned top segment carries no current
+
+        applied = pin_stack.copy()
+        block.apply(applied, values)
+        expected = pin_stack.pillars.r_seg.copy()
+        for (l, p), s in zip(segments, values):
+            expected[l, p] /= s
+        assert np.array_equal(applied.pillars.r_seg, expected)
+        assert block.labels(pin_stack) == [f"gtsv[l{l},p{p}]" for l, p in segments]
+
+    def test_out_of_range_segment_is_named(self, pin_stack):
+        block = TSVConductanceParam(segments=[(0, 0), (1, pin_stack.pillars.count)])
+        with pytest.raises(GridError, match=rf"segment \(1, {pin_stack.pillars.count}\)"):
+            block.size_for(pin_stack)
