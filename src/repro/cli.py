@@ -38,13 +38,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+import typing
 
 import numpy as np
 
 from repro import __version__, obs
 from repro.analysis.irdrop import ascii_heatmap, ir_drop_report
 from repro.bench.ablations import random_walk_trap, tsv_resistance_sweep
-from repro.bench.circuits import CIRCUITS
 from repro.bench.figures import phase_breakdown
 from repro.bench.reporting import ascii_table
 from repro.bench.table1 import run_table1
@@ -63,6 +63,7 @@ from repro.jobspec import (
     SensitivityJob,
     SweepJob,
     parse,
+    type_hints,
 )
 from repro.netlist.parser import read_netlist
 from repro.netlist.writer import stack_to_netlist, write_netlist
@@ -70,16 +71,41 @@ from repro.spice.dc import dc_operating_point
 from repro.units import si_format
 
 
-def _add_stack_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--circuit", choices=sorted(CIRCUITS), default=None,
-        help="benchmark circuit name (overrides --side/--tiers)",
-    )
-    parser.add_argument("--side", type=int, default=40, help="tier lattice side")
-    parser.add_argument("--tiers", type=int, default=3, help="number of tiers")
-    parser.add_argument("--r-tsv", type=float, default=0.05, help="TSV resistance (ohm)")
-    parser.add_argument("--vdd", type=float, default=1.8, help="pin voltage (V)")
-    parser.add_argument("--seed", type=int, default=0, help="synthesis seed")
+#: The CLI's own defaults where they differ from the service's.
+CLI_DEFAULTS = {
+    McJob: {"samples": 128},
+    SweepJob: {"v0_init": "loadshare"},
+    SensitivityJob: {"params": ("width", "tsv", "load")},
+    OptimizeJob: {"iterations": 12},
+    EcoJob: {"candidates": 32},
+}
+
+
+def _is_list(hint) -> bool:
+    """A ``tuple[X, ...]`` field, alone or ``| None``: comma-separated
+    text on the command line."""
+    return any(typing.get_origin(h) is tuple for h in (hint, *typing.get_args(hint)))
+
+
+def _add_spec_arguments(parser: argparse.ArgumentParser, *specs) -> None:
+    """One ``--field-name`` per field of ``specs`` that declares its help
+    (a name two specs share is the first one's flag), with the spec's
+    default or the CLI's own.  Values stay text for :func:`_spec`."""
+    seen = set()
+    for cls in specs:
+        hints, helps = type_hints(cls), type_hints(cls, include_extras=True)
+        for field in dataclasses.fields(cls):
+            declared = getattr(helps[field.name], "__metadata__", None)
+            if declared is None or field.name in seen:
+                continue
+            seen.add(field.name)
+            default = CLI_DEFAULTS.get(cls, {}).get(field.name, field.default)
+            if _is_list(hints[field.name]):
+                default = ",".join(map(str, default)) if default else None
+            parser.add_argument(
+                "--" + field.name.replace("_", "-"),
+                default=default, help=declared[0],
+            )
 
 
 def _add_profile_argument(parser: argparse.ArgumentParser) -> None:
@@ -91,23 +117,31 @@ def _add_profile_argument(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _spec(cls, args: argparse.Namespace, **values):
-    """The ``cls`` spec parsed from every argparse value whose dest names
-    one of its fields; ``values`` replaces the ones the CLI pre-splits
-    from comma-separated text."""
-    names = {field.name for field in dataclasses.fields(cls)}
-    flags = {k: v for k, v in vars(args).items() if k in names}
-    return parse(cls, {**flags, **values})
+def _spec(cls, args: argparse.Namespace):
+    """The ``cls`` spec parsed from every flag named after one of its
+    fields; a list flag's comma-separated text is split first."""
+    hints = type_hints(cls)
+    params = {}
+    for field in dataclasses.fields(cls):
+        value = getattr(args, field.name, None)
+        if value is None:
+            continue
+        if _is_list(hints[field.name]):
+            value = [item.strip() for item in value.split(",") if item.strip()]
+            if not value:
+                flag = "--" + field.name.replace("_", "-")
+                raise ReproError(f"{flag} needs at least one value")
+        params[field.name] = value
+    return parse(cls, params)
 
 
-def _build_stack(args: argparse.Namespace):
-    grid = _spec(GridSpec, args)
+def _build_stack(grid: GridSpec):
     return grid.build(f"cli-{grid.side}x{grid.side}x{grid.tiers}")
 
 
 # ----------------------------------------------------------------------
 def cmd_generate(args: argparse.Namespace) -> int:
-    stack = _build_stack(args)
+    stack = _build_stack(_spec(GridSpec, args))
     netlist = stack_to_netlist(stack)
     write_netlist(netlist, args.output)
     stats = netlist.stats()
@@ -140,7 +174,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         )
         return 0
 
-    stack = _build_stack(args)
+    stack = _build_stack(_spec(GridSpec, args))
     if args.method == "vp":
         solver = VoltagePropagationSolver(
             stack, VPConfig(inner=args.inner, vda=args.vda)
@@ -210,10 +244,8 @@ def cmd_table1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_floats(text: str | None, option: str) -> list[float]:
-    """Comma-separated numbers; an unset option is no numbers."""
-    if text is None:
-        return []
+def _parse_floats(text: str, option: str) -> list[float]:
+    """Comma-separated numbers (a scenario-generator flag)."""
     try:
         values = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
@@ -246,8 +278,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             "--corner-levels and --load-scales are mutually exclusive "
             "(per-tier corners replace global scales)"
         )
-    config = _spec(SweepJob, args).config()
-    stack = _build_stack(args)
+    grid, config = _spec(GridSpec, args), _spec(SweepJob, args).config()
+    stack = _build_stack(grid)
     families = []
     if args.corner_levels:
         levels = _parse_floats(args.corner_levels, "--corner-levels")
@@ -277,17 +309,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_mc(args: argparse.Namespace) -> int:
     from repro.bench.montecarlo import run_mc_benchmark
 
-    job = _spec(
-        McJob, args, quantiles=_parse_floats(args.quantiles, "--quantiles")
-    )
-    spec = job.variation("cli-mc")
-    stack = _build_stack(args)
+    grid, job = _spec(GridSpec, args), _spec(McJob, args)
+    spec, config = job.variation("cli-mc"), job.config()
     report = run_mc_benchmark(
-        stack,
+        _build_stack(grid),
         spec,
         job.samples,
         seed=job.seed,
-        config=job.config(),
+        config=config,
         compare_naive=args.compare_naive,
     )
     print(report.table())
@@ -304,13 +333,8 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         finite_difference_gradient,
     )
 
-    job = _spec(
-        SensitivityJob,
-        args,
-        params=[f.strip() for f in args.params.split(",") if f.strip()],
-        node=args.node.split(",") if args.node else None,
-    )
-    stack = _build_stack(args)
+    grid, job = _spec(GridSpec, args), _spec(SensitivityJob, args)
+    stack = _build_stack(grid)
     params = job.parameter_space(stack)
     metric = job.metric()
 
@@ -328,7 +352,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     print(ascii_table(["parameter", "dm/dp", "per unit"], rows))
 
     if args.fd_check > 0:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(grid.seed)
         indices = np.sort(
             rng.choice(
                 result.n_params,
@@ -371,13 +395,8 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     from repro.bench.reporting import write_json
 
-    job = _spec(
-        OptimizeJob,
-        args,
-        load_scales=_parse_floats(args.load_scales, "--load-scales"),
-        bounds=_parse_floats(args.bounds, "--bounds"),
-    )
-    result = job.run(_build_stack(args))
+    grid, job = _spec(GridSpec, args), _spec(OptimizeJob, args)
+    result = job.run(_build_stack(grid))
     if job.mode == "budget":
         rows = [
             [f"tier {t}", f"{w0:.4f}", f"{w:.4f}"]
@@ -408,12 +427,9 @@ def cmd_eco(args: argparse.Namespace) -> int:
     from repro.core.planes import PlaneFactorCache
     from repro.eco import load_candidates
 
-    job = _spec(
-        EcoJob,
-        args,
-        load_scales=_parse_floats(args.load_scales, "--load-scales"),
-    )
-    stack = _build_stack(args)
+    grid, job = _spec(GridSpec, args), _spec(EcoJob, args)
+    config = job.config()
+    stack = _build_stack(grid)
     if args.edits:
         candidates = load_candidates(args.edits)
     else:
@@ -422,7 +438,7 @@ def cmd_eco(args: argparse.Namespace) -> int:
         stack,
         candidates,
         scenarios=job.scenarios(),
-        config=job.config(),
+        config=config,
         cache=PlaneFactorCache(max_entries=args.cache_entries),
         compare_refactorize=args.compare_refactorize,
         baseline_samples=4,
@@ -527,7 +543,7 @@ def _transient_sweep_scenarios(args: argparse.Namespace, n_tiers: int):
 def cmd_transient(args: argparse.Namespace) -> int:
     from repro.core.transient import TransientVPSolver, step_stimulus
 
-    stack = _build_stack(args)
+    stack = _build_stack(_spec(GridSpec, args))
     if args.sweep:
         from repro.bench.transient import run_transient_sweep
         from repro.core.transient_batch import BatchedTransientConfig
@@ -592,7 +608,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_phases(args: argparse.Namespace) -> int:
-    stack = _build_stack(args)
+    stack = _build_stack(_spec(GridSpec, args))
     breakdown = phase_breakdown(stack)
     rows = [[k, f"{v:.4f}"] for k, v in breakdown.items()]
     print(ascii_table(["phase", "seconds"], rows))
@@ -639,12 +655,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="synthesize a stack and write a netlist")
-    _add_stack_arguments(p)
+    _add_spec_arguments(p, GridSpec)
     p.add_argument("--output", "-o", required=True, help="netlist path")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("solve", help="solve a circuit and report IR drop")
-    _add_stack_arguments(p)
+    _add_spec_arguments(p, GridSpec)
     p.add_argument("--netlist", help="solve this netlist file (SPICE engine)")
     p.add_argument(
         "--method", choices=("vp", "pcg", "spice"), default="vp"
@@ -684,7 +700,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep",
         help="batched multi-scenario sweep (shared-factorization engine)",
     )
-    _add_stack_arguments(p)
+    _add_spec_arguments(p, GridSpec, SweepJob)
     p.add_argument(
         "--load-scales", default=None,
         help="comma-separated global current corners (default 0.8,1.0,1.2; "
@@ -705,16 +721,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated metal-width (conductance) multipliers, "
         "crossed with the other families (scaled-factor fast path)",
     )
-    p.add_argument("--outer-tol", type=float, default=1e-4, help="volts")
-    p.add_argument(
-        "--vda",
-        choices=("auto", "fixed", "adaptive", "secant", "anderson"),
-        default="auto",
-    )
-    p.add_argument(
-        "--v0-init", choices=("pin", "loadshare"), default="loadshare",
-        help="layer-0 seed (loadshare pre-drops pillars by their load share)",
-    )
     p.add_argument(
         "--compare-sequential", action="store_true",
         help="also run the per-scenario solve_vp loop and report speedup",
@@ -728,46 +734,7 @@ def build_parser() -> argparse.ArgumentParser:
         "mc",
         help="Monte Carlo variation analysis (factor-reuse engine)",
     )
-    _add_stack_arguments(p)
-    p.add_argument(
-        "--samples", type=int, default=128, help="Monte Carlo sample count"
-    )
-    p.add_argument(
-        "--sigma-wire", type=float, default=0.0,
-        help="lognormal sigma of per-segment wire-conductance variation "
-        "(changes plane matrices; costs one factorization per sample)",
-    )
-    p.add_argument(
-        "--corr-length", type=float, default=0.0,
-        help="correlation length (nodes) of the wire field; 0 = iid, "
-        ">0 = truncated-KL correlated field",
-    )
-    p.add_argument(
-        "--kl-rank", type=int, default=16,
-        help="modes kept in the truncated KL expansion",
-    )
-    p.add_argument(
-        "--sigma-pad", type=float, default=0.0,
-        help="lognormal sigma on pad conductances",
-    )
-    p.add_argument(
-        "--sigma-width", type=float, default=0.0,
-        help="per-tier metal-width scaling sigma (factor-reuse fast path)",
-    )
-    p.add_argument(
-        "--sigma-tsv", type=float, default=0.0,
-        help="per-via TSV resistance spread sigma (zero refactorizations)",
-    )
-    p.add_argument(
-        "--budget", type=float, default=None,
-        help="IR-drop budget (V) for the violation probability",
-    )
-    p.add_argument(
-        "--quantiles", default="0.5,0.9,0.95,0.99",
-        help="comma-separated worst-drop quantiles to estimate",
-    )
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--outer-tol", type=float, default=1e-4, help="volts")
+    _add_spec_arguments(p, GridSpec, McJob)
     p.add_argument(
         "--compare-naive", action="store_true",
         help="also time the per-sample solve_vp loop and report speedup",
@@ -781,25 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sensitivity",
         help="adjoint gradients of an IR-drop metric over design parameters",
     )
-    _add_stack_arguments(p)
-    p.add_argument(
-        "--params", default="width,tsv,load",
-        help="comma-separated parameter families: width (per-tier metal), "
-        "tsv (per-segment conductance), load (per-tier current)",
-    )
-    p.add_argument(
-        "--node", default=None,
-        help="probe-node metric 'tier,row,col' instead of the smooth "
-        "worst drop",
-    )
-    p.add_argument(
-        "--beta", type=float, default=2000.0,
-        help="smooth-max sharpness (1/V) of the worst-drop metric",
-    )
-    p.add_argument(
-        "--top", type=int, default=10,
-        help="how many largest-|gradient| parameters to print",
-    )
+    _add_spec_arguments(p, GridSpec, SensitivityJob)
     p.add_argument(
         "--fd-check", type=int, default=0,
         help="cross-check this many sampled gradients against central "
@@ -814,34 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
         "optimize",
         help="gradient-based design optimization (adjoint-driven)",
     )
-    _add_stack_arguments(p)
-    p.add_argument(
-        "--mode", choices=("budget", "placement"), default="budget",
-        help="budget: per-tier wire-width allocation under a fixed area; "
-        "placement: greedy pin refinement at a fixed pin count",
-    )
-    p.add_argument(
-        "--load-scales", default=None,
-        help="comma-separated current corners to optimize the worst "
-        "case over (default: nominal only)",
-    )
-    p.add_argument(
-        "--area-budget", type=float, default=None,
-        help="total area sum(w_l) the widths must meet (default: the "
-        "base design's area -- pure reallocation)",
-    )
-    p.add_argument(
-        "--bounds", default="0.5,2.5",
-        help="per-tier width bounds 'lo,hi'",
-    )
-    p.add_argument(
-        "--pins", type=int, default=None,
-        help="placement mode: target pin count (default: keep current)",
-    )
-    p.add_argument(
-        "--iterations", type=int, default=12,
-        help="gradient iterations (budget) / swap rounds (placement)",
-    )
+    _add_spec_arguments(p, GridSpec, OptimizeJob)
     p.add_argument("--json", help="write the before/after report as JSON")
     _add_profile_argument(p)
     p.set_defaults(func=cmd_optimize)
@@ -851,33 +773,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="incremental ECO re-analysis: rank edit candidates on "
         "cached factors (SMW low-rank updates, zero re-factorizations)",
     )
-    _add_stack_arguments(p)
+    _add_spec_arguments(p, GridSpec, EcoJob)
     p.add_argument(
         "--edits", metavar="FILE", default=None,
         help="JSON candidate file ({'candidates': [{'name', 'edits'}]}); "
         "overrides --sweep",
-    )
-    p.add_argument(
-        "--sweep", choices=("strap", "width", "tsv", "pin"), default="strap",
-        help="generated candidate family when no --edits file is given",
-    )
-    p.add_argument(
-        "--candidates", type=int, default=32,
-        help="how many candidates the sweep generates",
-    )
-    p.add_argument(
-        "--metric", choices=("worst_drop", "mean_drop"),
-        default="worst_drop", help="ranking figure of merit (lower wins)",
-    )
-    p.add_argument(
-        "--load-scales", default=None,
-        help="comma-separated current corners to evaluate each candidate "
-        "over (default: nominal only)",
-    )
-    p.add_argument(
-        "--verify", type=float, default=0.0, metavar="FRACTION",
-        help="re-solve this fraction of candidates directly (fresh "
-        "factors) and check parity; 0 keeps the run factorization-free",
     )
     p.add_argument(
         "--compare-refactorize", action="store_true",
@@ -889,8 +789,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="plane-factor cache capacity (LRU beyond this; evictions "
         "surface as the cache.evictions counter)",
     )
-    p.add_argument("--top", type=int, default=10, help="rows to print")
-    p.add_argument("--outer-tol", type=float, default=1e-6, help="volts")
     p.add_argument("--csv", help="write the ranked report as CSV")
     p.add_argument("--json", help="write the full report as JSON")
     _add_profile_argument(p)
@@ -912,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "transient", help="E14: transient droop (RC backward Euler)"
     )
-    _add_stack_arguments(p)
+    _add_spec_arguments(p, GridSpec)
     p.add_argument("--cap", type=float, default=2e-9, help="decap per node (F)")
     p.add_argument("--dt", type=float, default=1e-10, help="time step (s)")
     p.add_argument("--t-end", type=float, default=2e-8, help="end time (s)")
@@ -1014,7 +912,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("phases", help="E10: VP phase breakdown")
-    _add_stack_arguments(p)
+    _add_spec_arguments(p, GridSpec)
     p.set_defaults(func=cmd_phases)
 
     p = sub.add_parser(

@@ -44,7 +44,7 @@ from repro.core.kernel import (
     seed_v0,
 )
 from repro.core.planes import ReducedPlaneSystem
-from repro.core.vda import VDAPolicy
+from repro.core.vda import VDA_NAMES, VDAPolicy
 from repro.errors import GridError, ReproError
 from repro.grid.stack3d import PowerGridStack
 from repro.scenarios.spec import Scenario, ScenarioSet
@@ -93,8 +93,10 @@ class BatchedVPConfig:
             raise ReproError(f"max_outer must be >= 1, got {self.max_outer!r}")
         if self.v0_init not in ("pin", "loadshare"):
             raise ReproError(
-                f"unknown v0_init {self.v0_init!r}; use 'pin' or 'loadshare'"
+                f"'v0_init' must be 'pin' or 'loadshare', got {self.v0_init!r}"
             )
+        if not isinstance(self.vda, VDAPolicy) and self.vda not in VDA_NAMES:
+            raise ReproError(f"'vda' must be one of {list(VDA_NAMES)}, got {self.vda!r}")
 
 
 @dataclass

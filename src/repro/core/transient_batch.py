@@ -335,7 +335,7 @@ class _ScenarioGroup:
 
         stripped = _tsv_knobs(originals)
         comp_planes = cache.get(comp_stack)
-        self.comp_solver = BatchedVPSolver(
+        self._full_solver = BatchedVPSolver(
             comp_stack, stripped, config, planes=comp_planes
         )
         self._comp_stack = comp_stack
@@ -358,11 +358,14 @@ class _ScenarioGroup:
             tier.g_pad.ravel() * tier.v_pad for tier in comp_stack.tiers
         ]
 
-        # Run state (narrowed on settle retirement).
-        self.active = np.arange(len(originals))
+    def start(self) -> None:
+        """Reset the run state, which settle retirement narrows, to every
+        scenario: each run starts from the full group."""
+        self.active = np.arange(len(self.originals))
+        self.comp_solver = self._full_solver
         self.v: np.ndarray | None = None          # (T, n, S_active)
         self.pillar_seed: np.ndarray | None = None
-        self.settle_count = np.zeros(len(originals), dtype=int)
+        self.settle_count = np.zeros(len(self.originals), dtype=int)
         # Step-to-step load cache: step/pulse stimuli hold their activity
         # vector constant across most steps, so the (n, S_active) load
         # batches are recomputed only when the activity actually moves.
@@ -646,6 +649,7 @@ class BatchedTransientSolver:
                     dc_fields[dc] = (v_dc, dc_res.pillar_v0, _worst_voltage(v_dc))
                     dc_columns += dc_res.n_scenarios
             for group in self.groups:
+                group.start()
                 cols_g = group.active_columns
                 if v0 is None:
                     # Each scenario takes its DC column's field, pillar

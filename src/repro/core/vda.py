@@ -289,6 +289,10 @@ _POLICIES = {
     "anderson": AndersonVDA,
 }
 
+#: Every VDA name a solver config takes: the per-column ``"auto"`` rule
+#: (:func:`repro.core.kernel.resolve_vda_policy`) or one policy.
+VDA_NAMES = ("auto", *_POLICIES)
+
 
 def make_vda_policy(name: str, **kwargs) -> VDAPolicy:
     """String-keyed factory (``fixed``/``adaptive``/``secant``/``anderson``)."""

@@ -1,14 +1,19 @@
 """One request schema for both front ends, ``repro <cmd>`` and ``repro serve``.
 
 Each job kind is one frozen dataclass (a *spec*) whose fields are its
-parameters, declared, typed and defaulted once, and whose methods build
-the engine inputs.  :func:`parse` turns a JSON object into any spec:
-the service parses request dicts, the CLI its argparse values, so the
-two cannot drift apart.  Defaults are the service's; the CLI passes its
-own argparse defaults explicitly (``repro mc`` draws 128 samples, a
-service mc job 16).  Checks that need the grid or an engine (an unknown
-family, mode or sweep name, a probe node outside the grid, the quantile
-range) stay with the code that has the grid or the engine.
+parameters, declared, typed, defaulted and documented once, and whose
+methods build the engine inputs.  A field's help text rides in its
+annotation, ``Annotated[type, "help"]``: the CLI makes one ``--flag``
+of each field that has help (a list field takes comma-separated text).
+A field without help has no flag of its own: an mc or eco job's
+``seed`` reads the grid's ``--seed``, and a sweep's ``scenarios``,
+``max_outer`` and ``eta`` come from requests only.  :func:`parse` turns
+a JSON object into any spec: the service parses request bodies, the CLI
+the raw text of its flags, so the two cannot drift apart.  Defaults are
+the service's; the CLI keeps a few of its own (``repro mc`` draws 128
+samples, a service mc job 16).  Checks that need the grid or an engine
+(an unknown family, mode or sweep name, a probe node outside the grid,
+the quantile range) stay with the code that has the grid or the engine.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import math
 import types
 import typing
 from dataclasses import dataclass
+from typing import Annotated
 
 from repro import eco, optimize, sensitivity, stochastic
 from repro.bench.circuits import build_circuit
@@ -42,9 +48,9 @@ NOTHING_VARIES = (
 
 def parse(cls, params):
     """``cls(**params)`` for the JSON object ``params``: unknown fields
-    are rejected, each value is cast to its field's annotated type,
-    floats must be finite and :data:`COUNTS` at least 1.  Every failure
-    is a :class:`ReproError` naming the field."""
+    are rejected, each value is cast to its field's type (a number may
+    come as text), floats must be finite and :data:`COUNTS` at least 1.
+    Every failure is a :class:`ReproError` naming the field."""
     if not isinstance(params, dict):
         raise ReproError(f"{cls.label} must be an object, got {params!r}")
     fields = dataclasses.fields(cls)
@@ -60,12 +66,13 @@ def parse(cls, params):
     ]
     if missing:
         raise ReproError(f"{cls.label} needs the fields {missing}")
-    hints = _type_hints(cls)
+    hints = type_hints(cls)
     return cls(**{k: _cast(k, hints[k], v) for k, v in params.items()})
 
 
+#: A spec's field types (with ``include_extras=True``, their help too).
 #: Evaluating the string annotations is most of a parse; specs never change.
-_type_hints = functools.cache(typing.get_type_hints)
+type_hints = functools.cache(typing.get_type_hints)
 
 
 def _cast(name: str, hint, value):
@@ -119,12 +126,12 @@ class GridSpec:
 
     label = "grid spec"
 
-    circuit: str | None = None
-    side: int = 40
-    tiers: int = 3
-    r_tsv: float = 0.05
-    vdd: float = 1.8
-    seed: int = 0
+    circuit: Annotated[str | None, "benchmark circuit, C0 to C5 (overrides side and tiers)"] = None
+    side: Annotated[int, "tier lattice side"] = 40
+    tiers: Annotated[int, "number of tiers"] = 3
+    r_tsv: Annotated[float, "TSV resistance (ohm)"] = 0.05
+    vdd: Annotated[float, "pin voltage (V)"] = 1.8
+    seed: Annotated[int, "synthesis seed (also seeds mc draws and eco candidates)"] = 0
 
     def build(self, name: str):
         """The stack; ``name`` labels a synthesized one."""
@@ -158,11 +165,13 @@ class SweepJob:
     label = "sweep job"
 
     scenarios: tuple[ScenarioSpec, ...] = ()
-    outer_tol: float = 1e-4
+    outer_tol: Annotated[float, "VP outer-loop tolerance (V)"] = 1e-4
     max_outer: int = 200
-    vda: str = "auto"
+    vda: Annotated[str, "VDA policy: auto, fixed, adaptive, secant or anderson"] = "auto"
     eta: float | None = None
-    v0_init: str = "pin"
+    v0_init: Annotated[
+        str, "layer-0 seed, pin or loadshare (loadshare pre-drops pillars by their load share)"
+    ] = "pin"
 
     def config(self) -> BatchedVPConfig:
         return BatchedVPConfig(
@@ -182,18 +191,26 @@ class McJob:
 
     label = "mc job"
 
-    samples: int = 16
+    samples: Annotated[int, "Monte Carlo sample count"] = 16
     seed: int = 0
-    sigma_wire: float = 0.0
-    sigma_pad: float = 0.0
-    corr_length: float = 0.0
-    kl_rank: int = 16
-    sigma_width: float = 0.0
-    sigma_tsv: float = 0.0
-    batch_size: int = 32
-    outer_tol: float = 1e-4
-    quantiles: tuple[float, ...] = (0.5, 0.9, 0.95, 0.99)
-    budget: float | None = None
+    sigma_wire: Annotated[
+        float, "lognormal sigma of per-segment wire-conductance variation (changes plane "
+        "matrices; costs one factorization per sample)"
+    ] = 0.0
+    sigma_pad: Annotated[float, "lognormal sigma on pad conductances"] = 0.0
+    corr_length: Annotated[
+        float, "correlation length (nodes) of the wire field; 0 = iid, >0 = truncated-KL "
+        "correlated field"
+    ] = 0.0
+    kl_rank: Annotated[int, "modes kept in the truncated KL expansion"] = 16
+    sigma_width: Annotated[float, "per-tier metal-width scaling sigma (factor-reuse path)"] = 0.0
+    sigma_tsv: Annotated[float, "per-via TSV resistance spread sigma (zero refactorizations)"] = 0.0
+    batch_size: Annotated[int, "samples per batched solve"] = 32
+    outer_tol: Annotated[float, "VP outer-loop tolerance (V)"] = 1e-4
+    quantiles: Annotated[
+        tuple[float, ...], "comma-separated worst-drop quantiles to estimate"
+    ] = (0.5, 0.9, 0.95, 0.99)
+    budget: Annotated[float | None, "IR-drop budget (V) for the violation probability"] = None
 
     def variation(self, name: str) -> stochastic.VariationSpec:
         """The sources whose sigma is set (a negative one raises in its
@@ -226,10 +243,15 @@ class SensitivityJob:
 
     label = "sensitivity job"
 
-    params: tuple[str, ...] = ("width",)
-    node: tuple[int, ...] | None = None
-    beta: float = 2000.0
-    top: int = 10
+    params: Annotated[
+        tuple[str, ...], "comma-separated parameter families: width (per-tier metal), tsv "
+        "(per-segment conductance), load (per-tier current)"
+    ] = ("width",)
+    node: Annotated[
+        tuple[int, ...] | None, "probe-node metric 'tier,row,col' instead of the smooth worst drop"
+    ] = None
+    beta: Annotated[float, "smooth-max sharpness (1/V) of the worst-drop metric"] = 2000.0
+    top: Annotated[int, "how many largest-|gradient| parameters to print"] = 10
 
     def parameter_space(self, stack) -> sensitivity.ParameterSpace:
         blocks = []
@@ -265,12 +287,23 @@ class OptimizeJob:
 
     label = "optimize job"
 
-    mode: str = "budget"
-    iterations: int | None = None
-    area_budget: float | None = None
-    bounds: tuple[float, ...] = (0.5, 2.5)
-    pins: int | None = None
-    load_scales: tuple[float, ...] = ()
+    mode: Annotated[
+        str, "budget: per-tier wire-width allocation under a fixed area; placement: greedy "
+        "pin refinement at a fixed pin count"
+    ] = "budget"
+    iterations: Annotated[
+        int | None, "gradient iterations (budget) / swap rounds (placement)"
+    ] = None
+    area_budget: Annotated[
+        float | None, "total area sum(w_l) the widths must meet (default: the base design's "
+        "area -- pure reallocation)"
+    ] = None
+    bounds: Annotated[tuple[float, ...], "per-tier width bounds 'lo,hi'"] = (0.5, 2.5)
+    pins: Annotated[int | None, "placement mode: target pin count (default: keep current)"] = None
+    load_scales: Annotated[
+        tuple[float, ...], "comma-separated current corners to optimize the worst case over "
+        "(default: nominal only)"
+    ] = ()
 
     def run(self, stack, cache=None):
         """The optimizer's result over the load corners."""
@@ -300,14 +333,22 @@ class EcoJob:
 
     label = "eco job"
 
-    sweep: str = "strap"
-    candidates: int = 8
+    sweep: Annotated[str, "generated candidate family: strap, width, tsv or pin"] = "strap"
+    candidates: Annotated[int, "how many candidates the sweep generates"] = 8
     seed: int = 0
-    top: int = 10
-    load_scales: tuple[float, ...] = ()
-    metric: str = "worst_drop"
-    outer_tol: float = 1e-6
-    verify: float = 0.0
+    top: Annotated[int, "rows to print"] = 10
+    load_scales: Annotated[
+        tuple[float, ...], "comma-separated current corners to evaluate each candidate over "
+        "(default: nominal only)"
+    ] = ()
+    metric: Annotated[
+        str, "ranking figure of merit, worst_drop or mean_drop (lower wins)"
+    ] = "worst_drop"
+    outer_tol: Annotated[float, "VP outer-loop tolerance (V)"] = 1e-6
+    verify: Annotated[
+        float, "re-solve this fraction of candidates directly (fresh factors) and check "
+        "parity; 0 keeps the run factorization-free"
+    ] = 0.0
 
     def generate_candidates(self, stack) -> list:
         return eco.generate_candidates(

@@ -93,7 +93,8 @@ class Job:
     id: str
     kind: str
     grid: str
-    params: dict
+    #: The parsed params: the job spec of its kind.
+    spec: object
     timeout: float | None = None
     #: Correlation id: minted at submission, echoed on HTTP responses
     #: and every log line about this job.
@@ -202,7 +203,7 @@ class JobQueue:
         self,
         kind: str,
         grid: str,
-        params: dict,
+        spec,
         *,
         timeout: float | None = None,
         coalesce_key: tuple | None = None,
@@ -224,7 +225,7 @@ class JobQueue:
                 id=f"job-{next(self._ids)}",
                 kind=kind,
                 grid=grid,
-                params=params,
+                spec=spec,
                 timeout=timeout,
                 coalesce_key=coalesce_key,
             )

@@ -59,7 +59,7 @@ from repro.core.batch import BatchedVPSolver
 from repro.core.planes import PlaneFactorCache, stack_plane_signature
 from repro.eco import EcoSession
 from repro.errors import ReproError
-from repro.jobspec import JOB_SPECS, GridSpec, SweepJob, parse
+from repro.jobspec import JOB_SPECS, GridSpec, parse
 from repro.scenarios.spec import Scenario, ScenarioSet
 from repro.sensitivity import adjoint_gradient
 from repro.serve.jobs import Job, JobQueue, JobState
@@ -120,14 +120,6 @@ def _check_timeout(timeout: float, field: str) -> None:
         raise ReproError(
             f"{field!r} must be a positive number of seconds, got {timeout!r}"
         )
-
-
-def _sweep_coalesce_key(grid: str, params: dict) -> tuple:
-    """Compatibility key of a sweep job: the grid and its parsed solver
-    fields (all but the scenarios, which the worker parses).  Jobs that
-    share it ride one merged batch without changing any job's numbers."""
-    solver = {k: v for k, v in params.items() if k != "scenarios"}
-    return ("sweep", grid, parse(SweepJob, solver))
 
 
 class GridAnalysisService:
@@ -243,8 +235,14 @@ class GridAnalysisService:
         *,
         timeout: float | None = None,
     ) -> Job:
-        """Validate and enqueue a job (raises
-        :class:`~repro.serve.jobs.QueueFullError` under backpressure)."""
+        """Validate, parse and enqueue a job (raises
+        :class:`~repro.serve.jobs.QueueFullError` under backpressure).
+
+        ``params`` is parsed into the kind's spec here, once, so a
+        malformed field answers at submission.  A sweep also builds its
+        solver config, and its coalescing key is the grid plus every
+        solver field: sweeps that share it ride one merged batch
+        without changing any job's numbers."""
         if kind not in JOB_KINDS:
             raise ReproError(
                 f"unknown job kind {kind!r}; expected one of {JOB_KINDS}"
@@ -252,14 +250,17 @@ class GridAnalysisService:
         self._stack(grid)  # validate the reference at submit time
         if params is not None and not isinstance(params, dict):
             raise ReproError(f"'params' must be an object, got {params!r}")
-        params = dict(params or {})
-        key = _sweep_coalesce_key(grid, params) if kind == "sweep" else None
+        spec = parse(JOB_SPECS[kind], params or {})
+        key = None
+        if kind == "sweep":
+            spec.config()  # an unknown vda or v0_init answers here too
+            key = ("sweep", grid, replace(spec, scenarios=()))
         if timeout is None:
             timeout = self.config.default_timeout
         else:
             _check_timeout(timeout, "timeout")
         return self.queue.submit(
-            kind, grid, params, timeout=timeout, coalesce_key=key
+            kind, grid, spec, timeout=timeout, coalesce_key=key
         )
 
     def wait(self, job_id: str, timeout: float = 60.0) -> Job:
@@ -406,18 +407,17 @@ class GridAnalysisService:
     def _run_sweep_batch(self, batch: list[Job]) -> list[tuple[Job, dict]]:
         grid = batch[0].grid
         stack = self._stack(grid)
-        specs = [parse(SweepJob, job.params) for job in batch]
 
         # Merge: one scenario list per job, names prefixed by job id so
         # the merged set stays duplicate-free; slices remember who owns
         # which columns for fan-out.
         merged: list[Scenario] = []
         slices: list[tuple[Job, int, int]] = []
-        for job, spec in zip(batch, specs):
+        for job in batch:
             start = len(merged)
             merged.extend(
                 replace(s, name=f"{job.id}/{s.name}")
-                for s in spec.scenario_list()
+                for s in job.spec.scenario_list()
             )
             slices.append((job, start, len(merged)))
 
@@ -429,7 +429,7 @@ class GridAnalysisService:
             "serve.solve", grid=grid, jobs=len(batch), columns=len(merged)
         ), self.cache.lease(stack) as planes:
             solver = BatchedVPSolver(
-                stack, ScenarioSet(merged), specs[0].config(), planes=planes
+                stack, ScenarioSet(merged), batch[0].spec.config(), planes=planes
             )
             result = solver.solve()
 
@@ -463,11 +463,10 @@ class GridAnalysisService:
         return payloads
 
     def _run_single(self, job: Job) -> dict:
-        spec = parse(JOB_SPECS[job.kind], job.params)
         runner = getattr(self, f"_run_{job.kind}")
         stack = self._stack(job.grid)
         with obs.span("serve.solve", grid=job.grid, kind=job.kind, jobs=1):
-            result = runner(job, spec, stack)
+            result = runner(job, job.spec, stack)
         job.batch_jobs = 1
         return {"kind": job.kind, "grid": job.grid, **result}
 

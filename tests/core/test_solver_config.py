@@ -54,6 +54,7 @@ GONE = {
         ("outer_tol", -1e-4),
         ("max_outer", 0),
         ("v0_init", "vdd"),
+        ("vda", "bogus"),
     ],
 )
 def test_loop_knobs_checked_when_built(config_cls, field, value):

@@ -30,6 +30,7 @@ from repro.scenarios import (
     ScenarioSet,
     StimulusSpec,
     load_step_sweep,
+    pulse_shape_sweep,
 )
 
 DT = 0.2e-9
@@ -407,6 +408,29 @@ class TestSettleRetirement:
         )
         pulse = result.scenario_index("pulse")
         assert result.settled_step[pulse] == -1
+
+    def test_a_second_run_starts_from_every_scenario(self, small_stack):
+        """A run after one that retired scenarios solves all of them
+        again: bitwise the first run and a fresh solver's run."""
+        scenarios = ScenarioSet(
+            list(load_step_sweep([0.7, 1.0], t_step=1e-9, before=0.2))
+            + list(pulse_shape_sweep([0.5], period=2e-9))
+        )
+
+        def solver():
+            return BatchedTransientSolver(
+                small_stack, scenarios, CAPS, DT,
+                BatchedTransientConfig(settle_tol=1e-4),
+            )
+
+        again = solver()
+        runs = [again.run(6e-9, probes=PROBES) for _ in range(2)]
+        runs.append(solver().run(6e-9, probes=PROBES))
+        assert (runs[0].settled_step[:2] > 0).all()
+        for run in runs[1:]:
+            for name in ("worst_voltage", "probe_voltages", "voltages",
+                         "outer_iterations", "settled_step"):
+                assert np.array_equal(getattr(run, name), getattr(runs[0], name)), name
 
     def test_settle_off_by_default_keeps_exact_parity(self, small_stack):
         config = BatchedTransientConfig()

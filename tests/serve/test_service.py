@@ -16,7 +16,6 @@ from repro.serve import (
     ServiceConfig,
     UnknownGridError,
 )
-from repro.serve.service import _sweep_coalesce_key
 
 SMALL = {"side": 10, "tiers": 2, "seed": 3}
 #: A second geometry (different side, hence a different cache key).
@@ -72,23 +71,28 @@ class TestSweepJobs:
             assert row["worst_ir_drop"] > 0
             assert len(row["pillar_v0"]) > 0
 
-    def test_invalid_scenario_fails_the_job_not_the_service(self, service):
-        job = service.submit(
-            "sweep", "g1", {"scenarios": [{"name": "x", "bogus": 1}]}
-        )
-        done = service.wait(job.id, timeout=60)
-        assert done.state == "failed"
-        assert "unknown scenario fields" in done.error
+    def test_invalid_scenario_is_rejected_at_submit(self, service):
+        with pytest.raises(ReproError, match="unknown scenario fields"):
+            service.submit(
+                "sweep", "g1", {"scenarios": [{"name": "x", "bogus": 1}]}
+            )
+        assert service.queue.jobs() == []
         # Service still serves afterwards.
         ok = service.submit("sweep", "g1", {})
         assert service.wait(ok.id, timeout=60).state == "done"
 
-    def test_coalesce_key_separates_configs(self):
-        base = _sweep_coalesce_key("g1", {})
-        assert _sweep_coalesce_key("g1", {}) == base
-        assert _sweep_coalesce_key("g2", {}) != base
-        assert _sweep_coalesce_key("g1", {"outer_tol": 1e-6}) != base
-        assert _sweep_coalesce_key("g1", {"vda": "anderson"}) != base
+    def test_coalesce_key_separates_configs(self, service):
+        service.register_grid("g2", SMALL)
+
+        def key(grid, params):
+            return service.submit("sweep", grid, params).coalesce_key
+
+        base = key("g1", {})
+        assert key("g1", {}) == base
+        assert key("g1", {"scenarios": [{"name": "a", "load_scale": 2}]}) == base
+        assert key("g2", {}) != base
+        assert key("g1", {"outer_tol": 1e-6}) != base
+        assert key("g1", {"vda": "anderson"}) != base
 
 
 class TestCoalescing:

@@ -90,6 +90,28 @@ class TestCheckerCatchesRot:
         path.write_text("see [t](target.md#real-heading)\n")
         assert check_docs.check_links(path) == []
 
+    def _section_problems(self, tmp_path, text):
+        path = tmp_path / "cli.md"
+        path.write_text(text)
+        return check_docs.check_section_flags(path, check_docs._cli_surface())
+
+    def test_section_flag_of_another_subcommand_flagged(self, tmp_path):
+        problems = self._section_problems(
+            tmp_path,
+            "## Sweeps — `repro sweep`\n\nKnobs: `--outer-tol`, `--v0-init\n"
+            "{pin,loadshare}`, `--samples N`.\n\n```bash\nrepro sweep\n```\n",
+        )
+        assert len(problems) == 1 and "'--samples'" in problems[0], problems
+
+    def test_flag_the_heading_names_may_be_another_subcommands(self, tmp_path):
+        problems = self._section_problems(
+            tmp_path,
+            "## Profiling — `repro profile` and `--profile`\n\n"
+            "`--profile PATH` on `sweep`; `--trace PATH`, `--no-such`.\n",
+        )
+        assert len(problems) == 1 and "'--no-such'" in problems[0], problems
+        assert self._section_problems(tmp_path, "## `repro nope`\n\n`--x`\n")
+
 
 
 class TestSchemaTables:

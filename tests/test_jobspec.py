@@ -5,11 +5,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import typing
 from pathlib import Path
 
 import pytest
 
-from repro import cli
+from repro import cli, jobspec
 from repro.errors import ReproError
 from repro.jobspec import (
     JOB_SPECS,
@@ -233,18 +234,66 @@ class TestNoOptionMoved:
 
     def test_cli_defaults_reach_the_spec(self):
         parser = cli.build_parser()
-        mc = cli._spec(McJob, parser.parse_args(["mc"]), quantiles=[0.5])
+        mc = cli._spec(McJob, parser.parse_args(["mc"]))
         assert (mc.samples, mc.kl_rank) == (128, 16)
         sweep = cli._spec(SweepJob, parser.parse_args(["sweep"]))
         assert sweep.config().v0_init == "loadshare"
-        optimize = cli._spec(
-            OptimizeJob, parser.parse_args(["optimize"]),
-            bounds=[0.5, 2.5], load_scales=[],
-        )
+        optimize = cli._spec(OptimizeJob, parser.parse_args(["optimize"]))
         assert optimize.iterations == 12
         eco = parser.parse_args(["eco", "--seed", "7"])
         assert cli._spec(GridSpec, eco).seed == 7
-        assert cli._spec(EcoJob, eco, load_scales=[]).seed == 7
+        assert cli._spec(EcoJob, eco).seed == 7
+
+
+class TestFlagsComeFromTheSpec:
+    @pytest.mark.parametrize("name", list(JOB_SPECS))
+    def test_each_flag_has_the_help_declared_beside_its_field(self, name):
+        """Spec flags are generated: the help is the field's, and the
+        value reaches :func:`parse` as raw text, with no argparse type
+        or choices of its own."""
+        specs = (GridSpec, JOB_SPECS[name])
+        for action in subcommand(name)._actions:
+            owner = next((c for c in specs if action.dest in field_names(c)), None)
+            if owner is None:
+                continue
+            hint = typing.get_type_hints(owner, include_extras=True)[action.dest]
+            assert action.help == hint.__metadata__[0], action.dest
+            assert (action.type, action.choices) == (None, None), action.dest
+
+    @pytest.mark.parametrize(
+        "argv, service",
+        [
+            (["mc", "--samples", "x"], lambda: parse(McJob, {"samples": "x"})),
+            (["sweep", "--vda", "bogus"],
+             lambda: parse(SweepJob, {"vda": "bogus"}).config()),
+            (["eco", "--metric", "nope"],
+             lambda: parse(EcoJob, {"metric": "nope"}).config()),
+            (["sweep", "--circuit", "C9"],
+             lambda: parse(GridSpec, {"circuit": "C9"}).build("x")),
+        ],
+        ids=["samples", "vda", "metric", "circuit"],
+    )
+    def test_a_bad_value_gets_one_error_from_both_surfaces(
+        self, argv, service, capsys, monkeypatch
+    ):
+        with pytest.raises(ReproError) as info:
+            service()
+        # Rejected before any work: no stack is synthesized.
+        monkeypatch.setattr(jobspec, "synthesize_stack", None)
+        assert cli.main([*argv, "--side", "8"]) == 2
+        assert capsys.readouterr().err == f"error: {info.value}\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["optimize", "--load-scales", ""], "--load-scales"),
+            (["mc", "--sigma-tsv", "0.1", "--quantiles", " , "], "--quantiles"),
+            (["sensitivity", "--node", ""], "--node"),
+        ],
+    )
+    def test_an_empty_list_flag_is_an_error_naming_it(self, argv, flag, capsys):
+        assert cli.main([*argv, "--side", "8"]) == 2
+        assert capsys.readouterr().err == f"error: {flag} needs at least one value\n"
 
 
 def test_only_the_front_ends_import_the_schema():

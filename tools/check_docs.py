@@ -1,6 +1,6 @@
 """Documentation checker: keep docs/*.md and README.md honest.
 
-Four classes of rot this catches, all cheap enough for CI:
+Five classes of rot this catches, all cheap enough for CI:
 
 * ``python`` fenced blocks must parse, and every ``from repro...``
   import in them must resolve to a real attribute -- renamed or removed
@@ -8,6 +8,10 @@ Four classes of rot this catches, all cheap enough for CI:
 * ``bash`` fenced blocks mentioning the ``repro`` CLI must name real
   subcommands, and every ``--flag`` they pass must exist on that
   subcommand's parser (checked against ``build_parser()`` itself);
+* in docs/cli.md, every backticked ``--flag`` in the prose of a section
+  whose heading names `` `repro <cmd>` `` must be a flag of that
+  subcommand (a flag the heading names beside it, as "`repro profile`
+  and `--profile`" does, must be a flag of some subcommand);
 * relative markdown links (and their ``#anchors``) must point at files
   and headings that exist;
 * the request-schema tables of docs/service.md (one row per job kind,
@@ -35,6 +39,9 @@ LINK_RE = re.compile(r"\[[^\]]+\]\(([^)\s]+)\)")
 HEADING_RE = re.compile(r"^#{1,6}\s+(.*)$")
 #: One documented schema field: `name: type` or `name: type = default`.
 FIELD_RE = re.compile(r"`(\w+): [^`=]+?(?: = ([^`]+))?`")
+#: A subcommand a heading names, and the flag a code span starts with.
+SUBCOMMAND_RE = re.compile(r"`repro ([\w-]+)`")
+SPAN_FLAG_RE = re.compile(r"`(--[\w-]+)[^`]*`")
 
 
 @dataclass
@@ -163,6 +170,43 @@ def check_shell_block(
     return problems
 
 
+def _sections(path: Path) -> list[tuple[int, str, str]]:
+    """``(line, heading, prose)`` of each section of a markdown file;
+    fenced code is left out of the prose."""
+    sections = [(0, "", [])]
+    in_fence = False
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        if line.startswith("```"):
+            in_fence = not in_fence
+        elif not in_fence and HEADING_RE.match(line):
+            sections.append((lineno, line, []))
+        elif not in_fence:
+            sections[-1][2].append(line)
+    return [(lineno, heading, "\n".join(body)) for lineno, heading, body in sections]
+
+
+def check_section_flags(path: Path, surface: dict[str, set[str]]) -> list[str]:
+    """Each backticked ``--flag`` of a `` `repro <cmd>` `` section is a
+    flag of ``<cmd>``, or of some subcommand when the heading names it."""
+    anywhere = set().union(*surface.values())
+    problems = []
+    for lineno, heading, prose in _sections(path):
+        commands = SUBCOMMAND_RE.findall(heading)
+        if not commands:
+            continue
+        where = f"{path.name}:{lineno}: section `repro {'`/`'.join(commands)}`"
+        unknown = [c for c in commands if c not in surface]
+        if unknown:
+            problems.append(f"{where} names unknown subcommands {unknown}")
+            continue
+        known = set().union(*(surface[c] for c in commands))
+        named = set(SPAN_FLAG_RE.findall(heading))
+        for flag in sorted(set(SPAN_FLAG_RE.findall(prose))):
+            if flag not in (anywhere if flag in named else known):
+                problems.append(f"{where} documents {flag!r}, not one of its flags")
+    return problems
+
+
 # ----------------------------------------------------------------------
 def _anchor_slug(heading: str) -> str:
     """GitHub-style anchor slug of a markdown heading."""
@@ -267,6 +311,7 @@ def check_all() -> list[str]:
     surface = _cli_surface()
     problems = []
     problems.extend(check_schema_tables(REPO_ROOT / "docs" / "service.md"))
+    problems.extend(check_section_flags(REPO_ROOT / "docs" / "cli.md", surface))
     for path in doc_files():
         problems.extend(check_links(path))
         for block in iter_code_blocks(path):
